@@ -132,7 +132,7 @@ impl Encoder {
     }
 
     /// Embeds one graph into `n x embed_dim` node embeddings.
-    pub fn embed(&self, tape: &Tape, binds: &Bindings, g: &Graph) -> Var {
+    pub fn embed(&self, tape: &Tape, binds: &Bindings<'_>, g: &Graph) -> Var {
         let x0 = tape.constant(self.features(g));
         let adj = tape.constant(self.adjacency(g));
         let mut h = x0;

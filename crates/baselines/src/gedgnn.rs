@@ -116,7 +116,7 @@ impl Gedgnn {
     }
 
     /// Returns `(matching Â, score)`.
-    fn forward(&self, tape: &Tape, binds: &Bindings, g1: &Graph, g2: &Graph) -> (Var, Var) {
+    fn forward(&self, tape: &Tape, binds: &Bindings<'_>, g1: &Graph, g2: &Graph) -> (Var, Var) {
         let h1 = self.encoder.embed(tape, binds, g1);
         let h2 = self.encoder.embed(tape, binds, g2);
         let h2t = tape.transpose(h2);
@@ -135,7 +135,7 @@ impl Gedgnn {
         (matching, score)
     }
 
-    fn pair_loss(&self, tape: &Tape, binds: &Bindings, pair: &GedPair) -> Var {
+    fn pair_loss(&self, tape: &Tape, binds: &Bindings<'_>, pair: &GedPair) -> Var {
         let (matching, score) = self.forward(tape, binds, &pair.g1, &pair.g2);
         let l_v = mse_scalar(tape, score, pair.normalized_ged().expect("supervised pair"));
         let mapping = pair.mapping.as_ref().expect("supervised pair");

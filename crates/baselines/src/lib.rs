@@ -12,8 +12,8 @@
 //! * [`simgnn`], [`gedgnn`], [`tagsim`] — the neural baselines of
 //!   Section 6.2, built on the same `ged-nn` substrate as GEDIOT.
 //! * [`noah`] — a Noah-like hybrid: beam search guided by a learned
-//!   coupling matrix (substituting the paper's GPN guidance; see DESIGN.md
-//!   §4).
+//!   coupling matrix (substituting the paper's GPN guidance; the [`noah`]
+//!   module docs give the reason).
 //! * [`solvers`] — `GedSolver` adapters putting every baseline behind the
 //!   uniform `ged_core::solver` interface.
 

@@ -4,8 +4,9 @@
 //! into graph embeddings by attention, an NTN computes a pair interaction
 //! vector, and an MLP regresses the normalized GED with an MSE loss. No
 //! node matching is produced, so SimGNN cannot generate edit paths
-//! (consistent with Tables 3/4 of the paper). The histogram feature of the
-//! original is omitted (see DESIGN.md §4).
+//! (consistent with Tables 3/4 of the paper). The original's histogram of
+//! pairwise node similarities is omitted, so the regressor sees a pair
+//! only through the NTN over its pooled graph embeddings.
 //!
 //! The paper's "GPN" baseline is the graph path network of Noah used
 //! standalone for GED regression; its architectural details are not given,
@@ -104,7 +105,7 @@ impl Simgnn {
         }
     }
 
-    fn score(&self, tape: &Tape, binds: &Bindings, g1: &Graph, g2: &Graph) -> Var {
+    fn score(&self, tape: &Tape, binds: &Bindings<'_>, g1: &Graph, g2: &Graph) -> Var {
         let h1 = self.encoder.embed(tape, binds, g1);
         let h2 = self.encoder.embed(tape, binds, g2);
         let e1 = self.pool.forward(tape, binds, h1);

@@ -142,7 +142,7 @@ impl TagSim {
     }
 
     /// Returns the four normalized type scores.
-    fn forward(&self, tape: &Tape, binds: &Bindings, g1: &Graph, g2: &Graph) -> Vec<Var> {
+    fn forward(&self, tape: &Tape, binds: &Bindings<'_>, g1: &Graph, g2: &Graph) -> Vec<Var> {
         let h1 = self.encoder.embed(tape, binds, g1);
         let h2 = self.encoder.embed(tape, binds, g2);
         let e1 = self.pool.forward(tape, binds, h1);
@@ -171,7 +171,7 @@ impl TagSim {
             .collect()
     }
 
-    fn pair_loss(&self, tape: &Tape, binds: &Bindings, pair: &GedPair) -> Var {
+    fn pair_loss(&self, tape: &Tape, binds: &Bindings<'_>, pair: &GedPair) -> Var {
         let scores = self.forward(tape, binds, &pair.g1, &pair.g2);
         let mapping = pair.mapping.as_ref().expect("supervised pair");
         let counts = TypeCounts::from_mapping(&pair.g1, &pair.g2, mapping);

@@ -1126,8 +1126,22 @@ impl GedEngine {
         method: MethodKind,
         query: GedQuery<'_>,
     ) -> Result<GedResponse, GedError> {
+        self.query_in(method, query, &mut SolverScratch::new())
+    }
+
+    /// [`Self::query_as`] with a caller's scratch: a `Value` query draws
+    /// its solver state from `scratch` (store-level plans keep one
+    /// scratch per worker of their own).
+    fn query_in(
+        &self,
+        method: MethodKind,
+        query: GedQuery<'_>,
+        scratch: &mut SolverScratch,
+    ) -> Result<GedResponse, GedError> {
         match query {
-            GedQuery::Value { pair } => self.predict_as(method, pair).map(GedResponse::Value),
+            GedQuery::Value { pair } => self
+                .predict_in(method, pair, scratch)
+                .map(GedResponse::Value),
             GedQuery::Path { pair, k } => self.edit_path_as(method, pair, k).map(GedResponse::Path),
             GedQuery::TopK { query, store, k } => self
                 .top_k_as(method, query, store, k)
@@ -1159,13 +1173,19 @@ impl GedEngine {
     }
 
     /// Answers a batch of queries in parallel with an explicit method.
+    /// Each worker keeps one [`SolverScratch`] across its queries, so a
+    /// graph shared by consecutive `Value` queries is embedded once by
+    /// GEDIOT and GEDHOT.
     #[must_use]
     pub fn query_batch_as(
         &self,
         method: MethodKind,
         queries: &[GedQuery<'_>],
     ) -> Vec<Result<GedResponse, GedError>> {
-        self.runner.map(queries, |q| self.query_as(method, *q))
+        self.runner
+            .map_init(queries, SolverScratch::new, |scratch, q| {
+                self.query_in(method, *q, scratch)
+            })
     }
 
     // -- typed conveniences (thin wrappers over the same logic) ----------
@@ -1238,11 +1258,20 @@ impl GedEngine {
     /// # Errors
     /// See [`Self::query_as`].
     pub fn predict_as(&self, method: MethodKind, pair: &GedPair) -> Result<GedEstimate, GedError> {
+        self.predict_in(method, pair, &mut SolverScratch::new())
+    }
+
+    fn predict_in(
+        &self,
+        method: MethodKind,
+        pair: &GedPair,
+        scratch: &mut SolverScratch,
+    ) -> Result<GedEstimate, GedError> {
         ensure_nonempty(&pair.g1, "g1")?;
         ensure_nonempty(&pair.g2, "g2")?;
         let solver = self.solver(method)?;
         Ok(GedEstimate {
-            ged: self.predict_cached(method, solver, pair, &mut SolverScratch::new()),
+            ged: self.predict_cached(method, solver, pair, scratch),
         })
     }
 

@@ -6,9 +6,10 @@
 //! shorter edit path.
 
 use crate::gedgw::{Gedgw, GedgwOptions};
-use crate::gediot::Gediot;
+use crate::gediot::{EmbeddingMemo, Gediot};
 use crate::kbest::{kbest_edit_path, KBestResult};
 use crate::pairs::ordered;
+use crate::workspace::GedWorkspace;
 use ged_graph::Graph;
 
 /// Which member supplied the winning estimate (Figure 13's adoption-rate
@@ -60,19 +61,24 @@ impl<'m> Gedhot<'m> {
     /// Predicts the GED of a pair (order-insensitive).
     #[must_use]
     pub fn predict(&self, g1: &Graph, g2: &Graph) -> GedhotPrediction {
-        let iot = self.model.predict(g1, g2);
-        let gw = Gedgw::new(g1, g2).with_options(self.gw_options).solve();
-        let (ged, value_source) = if iot.ged <= gw.ged {
-            (iot.ged, Source::Gediot)
-        } else {
-            (gw.ged, Source::Gedgw)
-        };
-        GedhotPrediction {
-            ged,
-            gediot_ged: iot.ged,
-            gedgw_ged: gw.ged,
-            value_source,
-        }
+        self.predict_in(g1, g2, &mut EmbeddingMemo::new(), &mut GedWorkspace::new())
+    }
+
+    /// [`Self::predict`] with GEDIOT's embeddings drawn from `memo`
+    /// ([`Gediot::predict_in`]) and GEDGW's buffers from `ws`
+    /// ([`Gedgw::solve_in`]). Bit-identical to [`Self::predict`] for any
+    /// memo and workspace contents.
+    #[must_use]
+    pub fn predict_in(
+        &self,
+        g1: &Graph,
+        g2: &Graph,
+        memo: &mut EmbeddingMemo,
+        ws: &mut GedWorkspace,
+    ) -> GedhotPrediction {
+        let iot = self.model.predict_in(g1, g2, memo);
+        let gw = self.gedgw(g1, g2).solve_in(ws);
+        Self::combine(iot.ged, gw.ged)
     }
 
     /// Predicts and generates an edit path: both members' couplings go
@@ -85,16 +91,35 @@ impl<'m> Gedhot<'m> {
         g2: &Graph,
         k: usize,
     ) -> (GedhotPrediction, KBestResult, Source) {
-        let pred = self.predict(g1, g2);
-        let (a, b, _) = ordered(g1, g2);
         let iot = self.model.predict(g1, g2);
-        let gw = Gedgw::new(g1, g2).with_options(self.gw_options).solve();
+        let gw = self.gedgw(g1, g2).solve();
+        let pred = Self::combine(iot.ged, gw.ged);
+        let (a, b, _) = ordered(g1, g2);
         let path_iot = kbest_edit_path(a, b, &iot.coupling, k);
         let path_gw = kbest_edit_path(a, b, &gw.coupling, k);
         if path_iot.ged <= path_gw.ged {
             (pred, path_iot, Source::Gediot)
         } else {
             (pred, path_gw, Source::Gedgw)
+        }
+    }
+
+    fn gedgw<'g>(&self, g1: &'g Graph, g2: &'g Graph) -> Gedgw<'g> {
+        Gedgw::new(g1, g2).with_options(self.gw_options)
+    }
+
+    /// The ensembled value: the smaller member estimate, GEDIOT on ties.
+    fn combine(gediot_ged: f64, gedgw_ged: f64) -> GedhotPrediction {
+        let (ged, value_source) = if gediot_ged <= gedgw_ged {
+            (gediot_ged, Source::Gediot)
+        } else {
+            (gedgw_ged, Source::Gedgw)
+        };
+        GedhotPrediction {
+            ged,
+            gediot_ged,
+            gedgw_ged,
+            value_source,
         }
     }
 }

@@ -14,7 +14,7 @@
 //! * the quadratic term prices edge insertions/deletions — a GW problem.
 //!
 //! For a binary permutation `π` the objective is *exactly* the edit cost of
-//! the corresponding node matching (Invariant B in DESIGN.md, tested below);
+//! the corresponding node matching (Invariant B, tested below);
 //! relaxing to the Birkhoff polytope and running conditional gradient
 //! (Algorithm 2) yields a fractional coupling whose objective approximates
 //! GED and whose entries rank node-matching confidence for GEP generation.

@@ -22,6 +22,19 @@
 //!
 //! Ablation switches reproduce Table 6: GCN instead of GIN, no MLP, plain
 //! inner-product cost layer, and frozen (non-learnable) `ε`.
+//!
+//! # One forward pass, two schedules
+//!
+//! The forward pass is split in two: the siamese `embed` (component 1)
+//! and a `pair_head` holding components 2 and 3. Training runs `embed`,
+//! `embed`, `pair_head` on one tape, so gradients flow into the
+//! embedding layers. Prediction ([`Gediot::predict_in`]) runs `embed` on
+//! a tape of its own per graph and hands the embeddings to `pair_head`
+//! as tape constants; the values are the same, bit for bit. Because a
+//! graph's embedding does not depend on its partner, an
+//! [`EmbeddingMemo`] (one per batch worker) keeps the last few: its key
+//! is the full graph plus the model's id, an id drawn afresh whenever
+//! the parameters change.
 
 use crate::kbest::{kbest_edit_path, KBestResult};
 use crate::pairs::{ordered, GedPair};
@@ -35,6 +48,7 @@ use ged_nn::tape::{Tape, Var};
 use ged_nn::Adam;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Graph convolution flavor (Table 6 ablation "w/ GCN").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,13 +142,72 @@ pub struct GediotPrediction {
     pub swapped: bool,
 }
 
+/// How many graphs an [`EmbeddingMemo`] keeps. Batched queries arrive
+/// grouped by query graph, so the entry of the graph shared by a run of
+/// pairs stays hot while partners come and go.
+const MEMO_CAPACITY: usize = 4;
+
+/// A least-recently-used memo of GEDIOT node embeddings for one worker
+/// thread ([`Gediot::predict_in`]).
+///
+/// An entry is keyed by the full [`Graph`] (compared for equality, never
+/// by hash alone) and by the id of the model that computed it, which
+/// changes whenever the model's parameters do. A memo can therefore be
+/// shared across models and training steps without ever answering with
+/// a stale embedding.
+#[derive(Debug, Default)]
+pub struct EmbeddingMemo {
+    /// `(model id, graph, embedding)`, least recently used first.
+    entries: Vec<(u64, Graph, Matrix)>,
+}
+
+impl EmbeddingMemo {
+    /// An empty memo.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// `model`'s node embeddings of `g`, from the memo or computed into it.
+    fn embedding(&mut self, model: &Gediot, g: &Graph) -> Matrix {
+        let hit = self
+            .entries
+            .iter()
+            .position(|(id, graph, _)| *id == model.id && graph == g);
+        match hit {
+            Some(i) => self.entries[i..].rotate_left(1),
+            None => {
+                if self.entries.len() == MEMO_CAPACITY {
+                    self.entries.remove(0);
+                }
+                self.entries.push((model.id, g.clone(), model.embedding(g)));
+            }
+        }
+        let (_, _, h) = self.entries.last().expect("the entry just used or added");
+        h.clone()
+    }
+}
+
 enum Conv {
     Gin(GinLayer),
     Gcn(Linear),
 }
 
+/// Source of [`Gediot`] model ids. `Relaxed` suffices: an id publishes
+/// no other data, and `fetch_add` alone makes every id unique.
+static NEXT_MODEL_ID: AtomicU64 = AtomicU64::new(0);
+
+fn fresh_model_id() -> u64 {
+    NEXT_MODEL_ID.fetch_add(1, Ordering::Relaxed)
+}
+
 /// The GEDIOT model: owns all parameters and the optimizer state.
 pub struct Gediot {
+    /// Process-unique id of the current parameter values: drawn at
+    /// construction and again by every method that changes a parameter,
+    /// so an [`EmbeddingMemo`] entry can never outlive the weights it
+    /// was computed with.
+    id: u64,
     config: GediotConfig,
     store: ParamStore,
     convs: Vec<Conv>,
@@ -213,6 +286,7 @@ impl Gediot {
         );
         let adam = Adam::new(config.learning_rate, config.weight_decay);
         Gediot {
+            id: fresh_model_id(),
             config,
             store,
             convs,
@@ -276,7 +350,7 @@ impl Gediot {
     }
 
     /// Embeds one graph into final node embeddings (`n x d_out`).
-    fn embed(&self, tape: &Tape, binds: &Bindings, g: &Graph) -> Var {
+    fn embed(&self, tape: &Tape, binds: &Bindings<'_>, g: &Graph) -> Var {
         let x0 = tape.constant(self.one_hot_features(g));
         let adj = match self.config.conv {
             ConvKind::Gin => tape.constant(Matrix::from_vec(
@@ -304,18 +378,21 @@ impl Gediot {
         }
     }
 
-    /// Builds the full forward pass for an ordered pair (`n1 <= n2`).
-    /// Returns `(coupling π̂, cost matrix Ĉ, score)`.
-    fn forward_pair(
+    /// Everything after the siamese embeddings of an ordered pair
+    /// (`n1 <= n2`): the cost layer, the learnable Sinkhorn, pooling, the
+    /// NTN and the head. `h1`, `h2` are `n1 x d` and `n2 x d` node
+    /// embeddings — tape values of [`Self::embed`] when training, or
+    /// constants from the [`EmbeddingMemo`] when predicting.
+    /// Returns `(coupling π̂, score)`.
+    fn pair_head(
         &self,
         tape: &Tape,
-        binds: &Bindings,
-        g1: &Graph,
-        g2: &Graph,
-    ) -> (Var, Var, Var) {
-        let h1 = self.embed(tape, binds, g1);
-        let h2 = self.embed(tape, binds, g2);
-
+        binds: &Bindings<'_>,
+        n1: usize,
+        n2: usize,
+        h1: Var,
+        h2: Var,
+    ) -> (Var, Var) {
         // Cost matrix layer (Eq. 10).
         let h2t = tape.transpose(h2);
         let cost = match self.cost_w {
@@ -333,8 +410,6 @@ impl Gediot {
         };
 
         // Learnable Sinkhorn layer (Section 4.2) with the dummy row.
-        let n1 = g1.num_nodes();
-        let n2 = g2.num_nodes();
         let eps = if self.config.learnable_epsilon {
             tape.softplus(binds.var(self.eps_param))
         } else {
@@ -373,12 +448,31 @@ impl Gediot {
 
         let sum = tape.add(w1, w2);
         let score = tape.sigmoid(sum);
-        (pi, cost, score)
+        (pi, score)
     }
 
-    /// Loss of one supervised pair (Eq. 15).
-    fn pair_loss(&self, tape: &Tape, binds: &Bindings, pair: &GedPair) -> Var {
-        let (pi, _, score) = self.forward_pair(tape, binds, &pair.g1, &pair.g2);
+    /// The node embeddings of `g` (`n x d_out`), computed on a tape of
+    /// their own.
+    fn embedding(&self, g: &Graph) -> Matrix {
+        let tape = Tape::new();
+        let binds = self.store.bind(&tape);
+        let h = self.embed(&tape, &binds, g);
+        tape.value(h)
+    }
+
+    /// Loss of one supervised pair (Eq. 15): both embeddings and the
+    /// head on one tape, so gradients reach every layer.
+    fn pair_loss(&self, tape: &Tape, binds: &Bindings<'_>, pair: &GedPair) -> Var {
+        let h1 = self.embed(tape, binds, &pair.g1);
+        let h2 = self.embed(tape, binds, &pair.g2);
+        let (pi, score) = self.pair_head(
+            tape,
+            binds,
+            pair.g1.num_nodes(),
+            pair.g2.num_nodes(),
+            h1,
+            h2,
+        );
         let nged = pair
             .normalized_ged()
             .expect("training pair needs ground-truth GED");
@@ -400,6 +494,7 @@ impl Gediot {
 
     /// Trains one epoch over `pairs` (shuffled); returns the mean loss.
     pub fn train_epoch<R: Rng>(&mut self, pairs: &[GedPair], rng: &mut R) -> f64 {
+        self.id = fresh_model_id();
         let mut order: Vec<usize> = (0..pairs.len()).collect();
         order.shuffle(rng);
         let mut total_loss = 0.0;
@@ -440,10 +535,23 @@ impl Gediot {
     /// Predicts the GED and coupling of a pair (order-insensitive).
     #[must_use]
     pub fn predict(&self, g1: &Graph, g2: &Graph) -> GediotPrediction {
+        self.predict_in(g1, g2, &mut EmbeddingMemo::new())
+    }
+
+    /// [`Self::predict`] with each graph's node embeddings looked up in,
+    /// or computed into, `memo`. The embedding component is siamese, so
+    /// a graph's embedding does not depend on its partner: a worker that
+    /// sees one query graph against many partners embeds it once. The
+    /// result is bit-identical to [`Self::predict`] whatever `memo`
+    /// holds, including entries of other models.
+    #[must_use]
+    pub fn predict_in(&self, g1: &Graph, g2: &Graph, memo: &mut EmbeddingMemo) -> GediotPrediction {
         let (a, b, swapped) = ordered(g1, g2);
         let tape = Tape::new();
         let binds = self.store.bind(&tape);
-        let (pi, _, score) = self.forward_pair(&tape, &binds, a, b);
+        let h1 = tape.constant(memo.embedding(self, a));
+        let h2 = tape.constant(memo.embedding(self, b));
+        let (pi, score) = self.pair_head(&tape, &binds, a.num_nodes(), b.num_nodes(), h1, h2);
         let nged = tape.scalar_value(score);
         let ged = nged * max_edit_ops(a, b) as f64;
         GediotPrediction {
@@ -481,6 +589,8 @@ impl Gediot {
     /// # Errors
     /// Fails when the checkpoint does not match this architecture.
     pub fn load_checkpoint(&mut self, text: &str) -> Result<(), String> {
+        // A failed restore may have overwritten some tensors already.
+        self.id = fresh_model_id();
         let ckpt = ged_nn::params::Checkpoint::from_text(text)?;
         self.store.restore(&ckpt)
     }
@@ -665,6 +775,66 @@ mod tests {
             "only {hits}/{} rows match",
             mapping.len()
         );
+    }
+
+    fn assert_same_prediction(got: &GediotPrediction, want: &GediotPrediction, ctx: &str) {
+        assert_eq!(got.ged.to_bits(), want.ged.to_bits(), "{ctx}: ged");
+        assert_eq!(got.swapped, want.swapped, "{ctx}: orientation");
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.coupling), bits(&want.coupling), "{ctx}: coupling");
+    }
+
+    #[test]
+    fn memo_keeps_the_most_recent_graphs() {
+        let mut rng = SmallRng::seed_from_u64(51);
+        let model = Gediot::new(tiny_config(2), &mut rng);
+        let graphs: Vec<Graph> = (0..6)
+            .map(|i| generate::random_connected(4 + i, 1, &[0.5, 0.5], &mut rng))
+            .collect();
+        let mut memo = EmbeddingMemo::new();
+        // One query graph against a run of partners, as batches arrive.
+        for partner in &graphs[1..] {
+            let got = model.predict_in(&graphs[0], partner, &mut memo);
+            assert_same_prediction(&got, &model.predict(&graphs[0], partner), "run");
+            assert!(memo.entries.len() <= MEMO_CAPACITY);
+            assert!(
+                memo.entries.iter().any(|(_, g, _)| *g == graphs[0]),
+                "the shared query graph stays memoized"
+            );
+        }
+        // Least recently used first: the oldest partners were evicted.
+        let kept: Vec<&Graph> = memo.entries.iter().map(|(_, g, _)| g).collect();
+        assert_eq!(kept, [&graphs[3], &graphs[4], &graphs[0], &graphs[5]]);
+    }
+
+    #[test]
+    fn memo_never_serves_embeddings_of_old_parameters() {
+        let mut rng = SmallRng::seed_from_u64(52);
+        let pairs = make_pairs(8, &mut rng);
+        let mut model = Gediot::new(tiny_config(2), &mut rng);
+        let mut other = Gediot::new(tiny_config(2), &mut rng);
+        let g1 = generate::random_connected(4, 1, &[0.5, 0.5], &mut rng);
+        let g2 = generate::random_connected(6, 1, &[0.5, 0.5], &mut rng);
+        let mut memo = EmbeddingMemo::new();
+        let mut check = |model: &Gediot, ctx: &str| {
+            let got = model.predict_in(&g2, &g1, &mut memo);
+            assert_same_prediction(&got, &model.predict(&g2, &g1), ctx);
+        };
+        check(&model, "fresh");
+        check(&other, "second model, same memo");
+        model.train_epoch(&pairs, &mut rng);
+        check(&model, "after a training epoch");
+        let ckpt = model.save_checkpoint();
+        other.load_checkpoint(&ckpt).unwrap();
+        check(&other, "after loading a checkpoint");
+        // A restore that fails on its last tensor has already overwritten
+        // the others: no entry of the old weights may survive it either.
+        let third = Gediot::new(tiny_config(2), &mut rng).save_checkpoint();
+        let mut lines: Vec<String> = third.lines().map(str::to_string).collect();
+        let last = lines.last_mut().unwrap();
+        *last = last.replacen("head", "renamed", 1);
+        assert!(model.load_checkpoint(&lines.join("\n")).is_err());
+        check(&model, "after a failed restore");
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use engine::{
 pub use ensemble::{Gedhot, GedhotPrediction};
 pub use error::GedError;
 pub use gedgw::{Gedgw, GedgwOptions, GedgwResult};
-pub use gediot::{Gediot, GediotConfig, GediotPrediction};
+pub use gediot::{EmbeddingMemo, Gediot, GediotConfig, GediotPrediction};
 pub use kbest::{kbest_edit_path, kbest_edit_path_in, KBestResult};
 pub use lower_bound::{
     degree_sequence_lower_bound, degree_sequence_lower_bound_sig, label_set_lower_bound,

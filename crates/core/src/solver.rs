@@ -40,7 +40,7 @@
 use crate::ensemble::Gedhot;
 use crate::error::GedError;
 use crate::gedgw::Gedgw;
-use crate::gediot::Gediot;
+use crate::gediot::{EmbeddingMemo, Gediot};
 use crate::kbest::kbest_edit_path;
 use crate::method::MethodKind;
 use crate::pairs::GedPair;
@@ -52,12 +52,18 @@ use std::sync::{Arc, Mutex};
 
 /// Per-thread scratch state batched prediction hands each worker
 /// ([`BatchRunner::map_init`]); solvers that implement
-/// [`GedSolver::predict_scratch`] draw their buffers from it instead of
-/// allocating per pair. Opaque on purpose — the contents track whatever
-/// the workspace-backed solvers need.
+/// [`GedSolver::predict_scratch`] draw from it instead of starting from
+/// nothing on every pair: GEDGW its solver buffers, GEDIOT its memo of
+/// graph embeddings, GEDHOT both. Opaque on purpose — the contents track
+/// whatever those solvers need.
+///
+/// The rule every user keeps: a result never depends on what a scratch
+/// holds. A scratch left dirty by any earlier call — another solver,
+/// another model, other graphs — answers bit-identically to a fresh one.
 #[derive(Debug, Default)]
 pub struct SolverScratch {
     pub(crate) ged: GedWorkspace,
+    pub(crate) gediot: EmbeddingMemo,
 }
 
 impl SolverScratch {
@@ -120,11 +126,12 @@ pub trait GedSolver: Send + Sync {
     /// Estimates the GED of `pair` (value only, possibly infeasible).
     fn predict(&self, pair: &GedPair) -> GedEstimate;
 
-    /// [`Self::predict`] with caller-provided scratch buffers. The default
-    /// ignores the scratch and delegates to [`Self::predict`]; solvers
-    /// with a workspace-backed hot path (GEDGW) override it. Must return
-    /// results bit-identical to [`Self::predict`] — batched drivers pick
-    /// freely between the two.
+    /// [`Self::predict`] with caller-provided scratch state. The default
+    /// ignores the scratch and delegates to [`Self::predict`]; GEDGW
+    /// (solver buffers), GEDIOT (embedding memo) and GEDHOT (both)
+    /// override it. Must return results bit-identical to
+    /// [`Self::predict`] whatever the scratch holds — batched drivers pick
+    /// freely between the two and share one scratch across pairs.
     fn predict_scratch(&self, pair: &GedPair, _scratch: &mut SolverScratch) -> GedEstimate {
         self.predict(pair)
     }
@@ -159,6 +166,15 @@ impl GedSolver for GediotSolver {
     fn predict(&self, pair: &GedPair) -> GedEstimate {
         GedEstimate {
             ged: self.model.predict(&pair.g1, &pair.g2).ged,
+        }
+    }
+
+    fn predict_scratch(&self, pair: &GedPair, scratch: &mut SolverScratch) -> GedEstimate {
+        GedEstimate {
+            ged: self
+                .model
+                .predict_in(&pair.g1, &pair.g2, &mut scratch.gediot)
+                .ged,
         }
     }
 
@@ -221,6 +237,14 @@ impl GedSolver for GedhotSolver {
     fn predict(&self, pair: &GedPair) -> GedEstimate {
         GedEstimate {
             ged: Gedhot::new(&self.gediot).predict(&pair.g1, &pair.g2).ged,
+        }
+    }
+
+    fn predict_scratch(&self, pair: &GedPair, scratch: &mut SolverScratch) -> GedEstimate {
+        GedEstimate {
+            ged: Gedhot::new(&self.gediot)
+                .predict_in(&pair.g1, &pair.g2, &mut scratch.gediot, &mut scratch.ged)
+                .ged,
         }
     }
 

@@ -1,5 +1,6 @@
-//! One function per table/figure of the paper. See DESIGN.md §3 for the
-//! experiment index and EXPERIMENTS.md for paper-vs-measured results.
+//! One function per table/figure of the paper, each wrapped by a binary
+//! in `src/bin/` (the README's "Experiments" section covers scale and
+//! threads).
 
 use crate::harness::{
     eval_path, eval_value, format_path_table, format_value_table, prepare, train_all, ExpConfig,

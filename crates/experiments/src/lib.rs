@@ -5,8 +5,7 @@
 //! Each experiment is a library function (`run_table3`, `run_fig15`, …)
 //! with a thin binary wrapper in `src/bin/`, so `cargo run -p
 //! ged-experiments --release --bin table3_ged` regenerates the
-//! corresponding rows. `run_all` chains everything and is what produced
-//! `EXPERIMENTS.md`.
+//! corresponding rows. `run_all` chains everything.
 //!
 //! Scale: the env var `GED_SCALE` selects `quick` (CI-sized, default) or
 //! `full` (closer to the paper's protocol; minutes of CPU time).

@@ -37,7 +37,7 @@ impl Linear {
     }
 
     /// Applies the layer to `x` (`n x in_dim`).
-    pub fn forward(&self, tape: &Tape, binds: &Bindings, x: Var) -> Var {
+    pub fn forward(&self, tape: &Tape, binds: &Bindings<'_>, x: Var) -> Var {
         let xw = tape.matmul(x, binds.var(self.w));
         tape.add_broadcast_row(xw, binds.var(self.b))
     }
@@ -113,7 +113,7 @@ impl Mlp {
     }
 
     /// Applies the MLP to `x` (`n x dims[0]`).
-    pub fn forward(&self, tape: &Tape, binds: &Bindings, x: Var) -> Var {
+    pub fn forward(&self, tape: &Tape, binds: &Bindings<'_>, x: Var) -> Var {
         let last = self.layers.len() - 1;
         let mut h = x;
         for (i, layer) in self.layers.iter().enumerate() {
@@ -177,7 +177,7 @@ impl GinLayer {
 
     /// Applies the convolution. `adj` is the `n x n` adjacency (constant),
     /// `h` the `n x in_dim` node features.
-    pub fn forward(&self, tape: &Tape, binds: &Bindings, adj: Var, h: Var) -> Var {
+    pub fn forward(&self, tape: &Tape, binds: &Bindings<'_>, adj: Var, h: Var) -> Var {
         let neigh = tape.matmul(adj, h);
         let one_plus_delta = tape.add_const(binds.var(self.delta), 1.0);
         let self_term = tape.mul_scalar_var(h, one_plus_delta);
@@ -212,7 +212,7 @@ impl AttentionPool {
     }
 
     /// Pools `h` (`n x d`) into a `1 x d` graph embedding.
-    pub fn forward(&self, tape: &Tape, binds: &Bindings, h: Var) -> Var {
+    pub fn forward(&self, tape: &Tape, binds: &Bindings<'_>, h: Var) -> Var {
         let (n, _) = tape.shape(h);
         // mean row: (1/n) 1ᵀ H  -> 1 x d
         let ones = tape.constant(Matrix::filled(1, n, 1.0 / n as f64));
@@ -263,7 +263,7 @@ impl Ntn {
     }
 
     /// Computes the `1 x L` interaction vector of two `1 x d` embeddings.
-    pub fn forward(&self, tape: &Tape, binds: &Bindings, h1: Var, h2: Var) -> Var {
+    pub fn forward(&self, tape: &Tape, binds: &Bindings<'_>, h1: Var, h2: Var) -> Var {
         // Bilinear slices h1 W2_l h2ᵀ, concatenated into 1 x L.
         let h2t = tape.transpose(h2);
         let mut bilinear: Option<Var> = None;

@@ -8,8 +8,9 @@
 //!   a [`tape::Var`] is just an index. A fresh tape is built per forward
 //!   pass (define-by-run), matching how the per-pair GED models work.
 //! * Every operation's gradient is validated against central finite
-//!   differences in this crate's test suite (Invariant E of DESIGN.md).
-//! * [`params::ParamStore`] owns the trainable matrices across tapes;
+//!   differences (the `grad_*` tests of [`tape`], Invariant E).
+//! * [`params::ParamStore`] owns the trainable matrices across tapes and
+//!   binds them onto a tape lazily, on first use;
 //!   [`optim::Adam`] consumes gradients read back from a tape.
 //! * [`layers`] builds the paper's building blocks on top: `Linear`, `Mlp`,
 //!   GIN convolutions (Eq. 8), attention pooling (Eq. 13), and the neural

@@ -1,12 +1,19 @@
 //! Persistent parameter storage shared across tapes.
 //!
-//! A model owns a [`ParamStore`]; every forward pass binds each parameter
-//! onto the fresh tape (as a gradient-requiring leaf) via
-//! [`ParamStore::bind`], and after `backward` the optimizer reads the
-//! gradients back through the recorded bindings.
+//! A model owns a [`ParamStore`]; every forward pass opens
+//! [`Bindings`] on a fresh tape via [`ParamStore::bind`], which place a
+//! parameter on the tape (as a gradient-requiring leaf) the first time
+//! the pass asks for it. After `backward` the optimizer reads the
+//! gradients back through the bindings.
+//!
+//! Binding lazily means a pass that uses only part of a model (an
+//! embedding computed on a tape of its own) copies only that part. It
+//! changes no value or gradient: a leaf has no inputs, and its consumers
+//! accumulate into it in the same order wherever it sits on the tape.
 
 use crate::tape::{Tape, Var};
 use ged_linalg::Matrix;
+use std::cell::Cell;
 
 /// Handle to a parameter inside a [`ParamStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -19,9 +26,12 @@ pub struct ParamStore {
     names: Vec<String>,
 }
 
-/// The tape bindings of every parameter for one forward pass.
-pub struct Bindings {
-    vars: Vec<Var>,
+/// The tape bindings of one forward pass: each parameter is bound onto
+/// the tape the first time [`Bindings::var`] asks for it.
+pub struct Bindings<'a> {
+    store: &'a ParamStore,
+    tape: &'a Tape,
+    vars: Vec<Cell<Option<Var>>>,
 }
 
 impl ParamStore {
@@ -73,21 +83,31 @@ impl ParamStore {
         &self.names[id.0]
     }
 
-    /// Binds every parameter onto `tape` as gradient-requiring leaves.
+    /// Opens bindings of this store's parameters onto `tape`; each is
+    /// bound as a gradient-requiring leaf on first use.
     #[must_use]
-    pub fn bind(&self, tape: &Tape) -> Bindings {
-        let vars = self
-            .values
-            .iter()
-            .map(|v| tape.leaf(v.clone(), true))
-            .collect();
-        Bindings { vars }
+    pub fn bind<'a>(&'a self, tape: &'a Tape) -> Bindings<'a> {
+        Bindings {
+            store: self,
+            tape,
+            vars: vec![Cell::new(None); self.values.len()],
+        }
     }
 
-    /// Reads the gradient of every parameter from a backward-completed tape.
+    /// Reads the gradient of every parameter from a backward-completed
+    /// tape. A parameter the pass never bound gets zeros, as an unused
+    /// leaf would.
     #[must_use]
-    pub fn gradients(&self, tape: &Tape, bindings: &Bindings) -> Vec<Matrix> {
-        bindings.vars.iter().map(|&v| tape.grad(v)).collect()
+    pub fn gradients(&self, tape: &Tape, bindings: &Bindings<'_>) -> Vec<Matrix> {
+        bindings
+            .vars
+            .iter()
+            .zip(&self.values)
+            .map(|(var, value)| match var.get() {
+                Some(v) => tape.grad(v),
+                None => Matrix::zeros(value.rows(), value.cols()),
+            })
+            .collect()
     }
 
     /// Raw access for optimizers: `(values, count)`.
@@ -96,11 +116,16 @@ impl ParamStore {
     }
 }
 
-impl Bindings {
-    /// The tape variable bound to `id`.
+impl Bindings<'_> {
+    /// The tape variable bound to `id`, binding it on first use.
     #[must_use]
     pub fn var(&self, id: ParamId) -> Var {
-        self.vars[id.0]
+        let slot = &self.vars[id.0];
+        slot.get().unwrap_or_else(|| {
+            let v = self.tape.leaf(self.store.values[id.0].clone(), true);
+            slot.set(Some(v));
+            v
+        })
     }
 }
 
@@ -124,6 +149,56 @@ mod tests {
         tape.backward(y);
         let grads = store.gradients(&tape, &b);
         assert_eq!(grads[0].as_slice(), &[5.0, 7.0]);
+    }
+
+    #[test]
+    fn binds_lazily_and_unbound_parameters_get_zero_gradients() {
+        let mut store = ParamStore::new();
+        let w = store.register("w", Matrix::from_vec(1, 2, vec![2.0, 3.0]));
+        let unused = store.register("unused", Matrix::filled(2, 3, 9.0));
+
+        let tape = Tape::new();
+        let b = store.bind(&tape);
+        assert!(tape.is_empty(), "bind places nothing on the tape");
+        assert_eq!(b.var(w), b.var(w), "a parameter is bound once");
+        assert_eq!(tape.len(), 1);
+        let x = tape.constant(Matrix::from_vec(2, 1, vec![5.0, 7.0]));
+        let y = tape.matmul(b.var(w), x);
+        tape.backward(y);
+        let grads = store.gradients(&tape, &b);
+        assert_eq!(grads[w.0].as_slice(), &[5.0, 7.0]);
+        assert_eq!(grads[unused.0].shape(), (2, 3));
+        assert!(grads[unused.0].as_slice().iter().all(|&g| g == 0.0));
+    }
+
+    #[test]
+    fn gradients_do_not_depend_on_where_a_parameter_is_bound() {
+        // The same loss, with `w` bound before anything else or only
+        // where it is first used: values and gradients agree bit for bit.
+        let mut store = ParamStore::new();
+        let w = store.register("w", Matrix::from_vec(2, 2, vec![0.3, -1.1, 0.7, 0.2]));
+        let v = store.register("v", Matrix::from_vec(2, 1, vec![1.5, -0.4]));
+        let run = |bind_first: bool| {
+            let tape = Tape::new();
+            let b = store.bind(&tape);
+            if bind_first {
+                let _ = (b.var(w), b.var(v));
+            }
+            let x = tape.constant(Matrix::from_vec(1, 2, vec![0.9, -2.0]));
+            let h = tape.tanh(tape.matmul(x, b.var(w)));
+            let h2 = tape.matmul(h, b.var(w));
+            let out = tape.matmul(tape.add(h, h2), b.var(v));
+            let loss = tape.sigmoid(out);
+            tape.backward(loss);
+            (tape.scalar_value(loss), store.gradients(&tape, &b))
+        };
+        let (l_eager, g_eager) = run(true);
+        let (l_lazy, g_lazy) = run(false);
+        assert_eq!(l_eager.to_bits(), l_lazy.to_bits());
+        for (a, b) in g_eager.iter().zip(&g_lazy) {
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b));
+        }
     }
 }
 

@@ -245,3 +245,74 @@ fn top_k_larger_than_store_returns_all_graphs_ranked() {
     // The query itself is in the store: its self-distance ranks first.
     assert_eq!(result.neighbors[0].id, first);
 }
+
+/// `query_batch_as` threads one solver scratch through each worker's
+/// queries (GEDGW buffers, GEDIOT's embedding memo). Its `Value` answers
+/// must equal per-query `query_as` bit for bit at every thread count,
+/// and a bad query in the middle of a batch must fail on its own, with
+/// a typed error, while its neighbours are answered.
+#[test]
+fn value_batches_match_single_queries_bit_for_bit() {
+    use ot_ged::core::solver::{GedhotSolver, GediotSolver};
+    use std::sync::Arc;
+
+    let mut rng = SmallRng::seed_from_u64(8);
+    let ds = GraphDataset::aids_like(12, &mut rng);
+    let graphs: Vec<&Graph> = ds.graphs().collect();
+    let model = Arc::new(Gediot::new(
+        GediotConfig::small(DatasetKind::Aids.num_labels() as usize),
+        &mut rng,
+    ));
+    // Query-major, like a similarity search: each query graph meets
+    // several partners in a row, so the memo sees repeats.
+    let mut pairs: Vec<GedPair> = graphs[..4]
+        .iter()
+        .flat_map(|&q| {
+            graphs[4..]
+                .iter()
+                .map(move |&p| GedPair::new(q.clone(), p.clone()))
+        })
+        .collect();
+    let bad_at = pairs.len() / 2;
+    pairs.insert(bad_at, GedPair::new(Graph::new(), graphs[0].clone()));
+    let queries: Vec<GedQuery<'_>> = pairs.iter().map(|pair| GedQuery::Value { pair }).collect();
+
+    for threads in [1, 2] {
+        let mut registry = SolverRegistry::new();
+        registry.register(MethodKind::Gedgw, Box::new(GedgwSolver));
+        registry.register(
+            MethodKind::Gediot,
+            Box::new(GediotSolver::new(Arc::clone(&model))),
+        );
+        registry.register(
+            MethodKind::Gedhot,
+            Box::new(GedhotSolver::new(Arc::clone(&model))),
+        );
+        let engine = GedEngine::builder(registry)
+            .threads(threads)
+            .build()
+            .expect("valid configuration");
+        for method in [MethodKind::Gedgw, MethodKind::Gediot, MethodKind::Gedhot] {
+            let batch = engine.query_batch_as(method, &queries);
+            assert_eq!(batch.len(), queries.len());
+            for (i, (got, q)) in batch.into_iter().zip(&queries).enumerate() {
+                let ctx = format!("{method} at {threads} threads, query {i}");
+                if i == bad_at {
+                    assert_eq!(
+                        got.unwrap_err(),
+                        GedError::EmptyGraph("g1".to_string()),
+                        "{ctx}"
+                    );
+                    continue;
+                }
+                let got = got.expect("valid query").into_value().expect("Value");
+                let want = engine
+                    .query_as(method, *q)
+                    .expect("valid query")
+                    .into_value()
+                    .expect("Value");
+                assert_eq!(got.ged.to_bits(), want.ged.to_bits(), "{ctx}");
+            }
+        }
+    }
+}

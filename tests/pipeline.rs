@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full pipeline from synthetic
 //! datasets through training to evaluation, plus the feasibility and
-//! ordering invariants that tie the methods together (DESIGN.md §7).
+//! ordering invariants that tie the methods together (the per-invariant
+//! properties are in `tests/properties.rs`).
 
 use ot_ged::baselines::astar::{astar_beam, astar_exact};
 use ot_ged::baselines::classic::{classic_ged, hungarian_ged, vj_ged};

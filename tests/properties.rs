@@ -1,5 +1,7 @@
-//! Property-based tests of the core invariants listed in DESIGN.md §7,
-//! spanning several crates.
+//! Property-based tests of the core invariants, spanning several crates.
+//! Each property's doc comment names its invariant (A–F); unit tests in
+//! the owning crate check the same letters in place (e.g. GEDGW's
+//! `invariant_b_objective_equals_edit_cost`).
 //!
 //! The build environment is offline, so instead of `proptest` these use a
 //! hand-rolled generator loop: each property runs over `CASES` seeded

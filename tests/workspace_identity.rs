@@ -16,10 +16,12 @@
 use ot_ged::baselines::astar::{astar_beam, astar_beam_in, BeamWorkspace};
 use ot_ged::core::gedgw::Gedgw;
 use ot_ged::core::kbest::{kbest_edit_path, kbest_edit_path_in};
+use ot_ged::core::pairs::GedPair;
 use ot_ged::core::search::{
     bounded_exact_ged_with_budget, bounded_exact_ged_with_budget_in, fast_upper_bound,
     fast_upper_bound_in, similarity_search, similarity_search_in,
 };
+use ot_ged::core::solver::{GedhotSolver, GediotSolver, SolverScratch};
 use ot_ged::core::GedWorkspace;
 use ot_ged::graph::CsrView;
 use ot_ged::linalg::{
@@ -33,6 +35,7 @@ use ot_ged::ot::{
 use ot_ged::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 const CASES: u64 = 48;
 
@@ -311,6 +314,85 @@ fn batch_entry_points_are_bit_identical() {
         assert_eq!(got.mapping, want.mapping, "case {case}: beam mapping");
         assert_eq!(got.expanded, want.expanded, "case {case}: beam expansions");
         assert_eq!(got.swapped, want.swapped, "case {case}: beam orientation");
+    }
+}
+
+/// `GediotSolver` and `GedhotSolver` answer `predict_scratch` through one
+/// `SolverScratch` (GEDIOT's embedding memo, GEDGW's workspace) kept
+/// dirty across every case and shared by two differently-seeded models
+/// used in turn. Repeated graphs, both orientations of a pair, identical
+/// pairs and equal-size pairs all land on memo entries of the other
+/// model or the other side: each answer must still match a fresh
+/// `predict` bit for bit.
+#[test]
+fn gediot_and_gedhot_scratch_is_bit_identical() {
+    let config = GediotConfig {
+        conv_dims: vec![8, 8],
+        embed_dim: 4,
+        ntn_dim: 4,
+        ..GediotConfig::small(3)
+    };
+    let models: Vec<Arc<Gediot>> = [0xB17_0101, 0xB17_0102]
+        .into_iter()
+        .map(|seed| {
+            Arc::new(Gediot::new(
+                config.clone(),
+                &mut SmallRng::seed_from_u64(seed),
+            ))
+        })
+        .collect();
+    let solvers: Vec<Box<dyn GedSolver>> = models
+        .iter()
+        .flat_map(|m| -> [Box<dyn GedSolver>; 2] {
+            [
+                Box::new(GediotSolver::new(Arc::clone(m))),
+                Box::new(GedhotSolver::new(Arc::clone(m))),
+            ]
+        })
+        .collect();
+    let mut scratch = SolverScratch::new();
+    let mut seen: Vec<Graph> = Vec::new();
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0xB17_0008 + case);
+        let a = if !seen.is_empty() && rng.gen_bool(0.5) {
+            seen[rng.gen_range(0..seen.len())].clone()
+        } else {
+            small_graph(6, 3, &mut rng)
+        };
+        let b = match case % 4 {
+            0 => a.clone(),
+            1 => loop {
+                let g = small_graph(6, 3, &mut rng);
+                if g.num_nodes() == a.num_nodes() {
+                    break g;
+                }
+            },
+            _ => small_graph(6, 3, &mut rng),
+        };
+        seen.extend([a.clone(), b.clone()]);
+        for (g1, g2) in [(&a, &b), (&b, &a)] {
+            // Raw field order, so the solvers' own orientation swap runs.
+            let pair = GedPair {
+                g1: g1.clone(),
+                g2: g2.clone(),
+                ged: None,
+                mapping: None,
+            };
+            for i in 0..solvers.len() {
+                // Alternate which model goes first from case to case.
+                let solver = &solvers[(i + 2 * case as usize) % solvers.len()];
+                let want = solver.predict(&pair).ged;
+                let got = solver.predict_scratch(&pair, &mut scratch).ged;
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "case {case}: {} on n={}/{}: {got} vs {want}",
+                    solver.name(),
+                    g1.num_nodes(),
+                    g2.num_nodes()
+                );
+            }
+        }
     }
 }
 
