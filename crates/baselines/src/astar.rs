@@ -6,15 +6,24 @@
 //! solutions never delete nodes (paper convention, Section 3.1), so leaves
 //! are complete injective mappings.
 //!
-//! `g` (path cost) is maintained incrementally; `h` is the admissible
-//! label-multiset + edge-count heuristic on the unmapped remainder, so A*
-//! returns the exact GED. A*-Beam keeps only the best `beam` states per
-//! depth, trading optimality for polynomial time [Neuhaus et al. 2006].
+//! [`astar_exact_with_limit`] is a thin wrapper over the exact A\* core
+//! every exact search in the workspace shares,
+//! [`ged_core::search::exact_search_in`] (its module docs describe the
+//! state arena, the bounds and the budget rule). The wrapper runs the core
+//! with `τ = ∞` and maps its expansion limit onto the core's budget as
+//! `budget = max_expanded + 1`: here the goal's pop never counts against
+//! the limit, while the core counts every pop. It reports `expanded − 1`
+//! (the goal's pop excluded).
+//!
+//! A*-Beam keeps only the best `beam` states per depth, trading optimality
+//! for polynomial time [Neuhaus et al. 2006]; `g` is maintained
+//! incrementally and `h` is the admissible label-multiset + edge-count
+//! heuristic on the unmapped remainder.
 
 use ged_core::pairs::ordered;
+use ged_core::search::{exact_search_in, BoundedSearch};
+use ged_core::GedWorkspace;
 use ged_graph::{Graph, Label, NodeMapping};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Result of an A* (or beam) search.
 #[derive(Clone, Debug)]
@@ -73,19 +82,10 @@ fn closing_cost(g2: &Graph, mapping: &[u32]) -> usize {
 }
 
 /// Admissible heuristic: label-multiset bound on unmapped nodes plus the
-/// remaining-edge-count gap.
-fn heuristic(g1: &Graph, g2: &Graph, mapping: &[u32]) -> usize {
-    let mut used = vec![false; g2.num_nodes()];
-    for &v in mapping {
-        used[v as usize] = true;
-    }
-    heuristic_in(g1, g2, mapping, &used, &mut Vec::new(), &mut Vec::new())
-}
-
-/// [`heuristic`] with the `G2` match marks precomputed by the caller
-/// (`used[v]` iff `v` is in `mapping`'s image) and the label multisets
-/// sorted into reusable buffers. Pure integer arithmetic, so reuse is
-/// trivially result-identical.
+/// remaining-edge-count gap, with the `G2` match marks precomputed by the
+/// caller (`used[v]` iff `v` is in `mapping`'s image) and the label
+/// multisets sorted into reusable buffers. Pure integer arithmetic, so
+/// reuse is trivially result-identical.
 fn heuristic_in(
     g1: &Graph,
     g2: &Graph,
@@ -152,61 +152,23 @@ pub fn astar_exact(g1: &Graph, g2: &Graph) -> AstarResult {
 /// Exact A* with a state-expansion budget; returns `None` if the budget is
 /// exhausted before the optimum is proven (used by the Figure 15
 /// scalability study where exact solvers are expected to blow up).
+/// `expanded` counts the states expanded before the goal was popped; the
+/// search is the shared core's (see the [module docs](self)).
 #[must_use]
 pub fn astar_exact_with_limit(g1: &Graph, g2: &Graph, max_expanded: usize) -> Option<AstarResult> {
-    let (a, b, swapped) = ordered(g1, g2);
-    let n1 = a.num_nodes();
-
-    // Open list keyed by f = g + h; tie-break on deeper states (faster
-    // goal discovery) via Reverse ordering on (f, -depth).
-    let mut heap: BinaryHeap<Reverse<(usize, usize, usize)>> = BinaryHeap::new();
-    let mut states: Vec<State> = vec![State {
-        mapping: Vec::new(),
-        g: 0,
-    }];
-    let h0 = heuristic(a, b, &[]);
-    heap.push(Reverse((h0, n1, 0)));
-
-    let mut expanded = 0usize;
-    while let Some(Reverse((f, _, idx))) = heap.pop() {
-        let state = states[idx].clone();
-        if state.mapping.len() == n1 {
-            let total = state.g + closing_cost(b, &state.mapping);
-            debug_assert!(total <= f + closing_cost(b, &state.mapping));
-            return Some(AstarResult {
-                ged: total,
-                mapping: NodeMapping::new(state.mapping),
-                swapped,
-                expanded,
-            });
-        }
-        expanded += 1;
-        if expanded > max_expanded {
-            return None;
-        }
-        let mut used = vec![false; b.num_nodes()];
-        for &v in &state.mapping {
-            used[v as usize] = true;
-        }
-        for v in 0..b.num_nodes() as u32 {
-            if used[v as usize] {
-                continue;
-            }
-            let mut mapping = state.mapping.clone();
-            let delta = extension_cost(a, b, &mapping, v);
-            mapping.push(v);
-            let g = state.g + delta;
-            let f = if mapping.len() == n1 {
-                g + closing_cost(b, &mapping)
-            } else {
-                g + heuristic(a, b, &mapping)
-            };
-            let depth = mapping.len();
-            states.push(State { mapping, g });
-            heap.push(Reverse((f, n1 - depth, states.len() - 1)));
-        }
+    let (_, _, swapped) = ordered(g1, g2);
+    let mut ws = GedWorkspace::new();
+    let run = exact_search_in(g1, g2, usize::MAX, max_expanded.saturating_add(1), &mut ws);
+    match run.outcome {
+        BoundedSearch::Within(ged) => Some(AstarResult {
+            ged,
+            mapping: NodeMapping::new(run.mapping.to_vec()),
+            swapped,
+            expanded: run.expanded - 1,
+        }),
+        BoundedSearch::BudgetExhausted => None,
+        BoundedSearch::Exceeds => unreachable!("A* always reaches a complete mapping"),
     }
-    unreachable!("A* always reaches a complete mapping");
 }
 
 /// Reusable scratch buffers for [`astar_beam_in`], letting batch callers

@@ -72,10 +72,10 @@ pub use pairs::{ordered, GedPair};
 pub use plan::{FilterTier, PlanExplanation, PlannerCounters, QueryPlanner, QueryShape};
 pub use search::{
     bounded_exact_ged, bounded_exact_ged_with_budget, bounded_exact_ged_with_budget_in,
-    fast_upper_bound, fast_upper_bound_in, pivot_distance, pivot_distance_in, prune_or_verify,
-    prune_or_verify_in, prune_or_verify_with_pivot, prune_or_verify_with_pivot_in,
-    similarity_search, similarity_search_in, BoundedSearch, CandidateOutcome, ExactSearchStats,
-    JoinStats, Verdict,
+    exact_search_in, fast_upper_bound, fast_upper_bound_in, pivot_distance, pivot_distance_in,
+    prune_or_verify, prune_or_verify_in, prune_or_verify_with_pivot, prune_or_verify_with_pivot_in,
+    similarity_search, similarity_search_in, BoundedSearch, CandidateOutcome, ExactSearch,
+    ExactSearchStats, JoinStats, Verdict,
 };
 pub use solver::{
     BatchRunner, GedEstimate, GedSolver, GedgwSolver, GedhotSolver, GediotSolver, PathEstimate,

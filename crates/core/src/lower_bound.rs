@@ -16,8 +16,7 @@
 use ged_graph::{Graph, GraphSignature, Label};
 
 /// Surplus counts of two sorted multisets: `(|A \ B|, |B \ A|)`, via one
-/// merge pass. Shared with the allocation-free bound evaluation inside
-/// [`crate::search`].
+/// merge pass.
 pub(crate) fn sorted_multiset_surplus(a: &[Label], b: &[Label]) -> (usize, usize) {
     let (mut i, mut j) = (0usize, 0usize);
     let (mut only1, mut only2) = (0usize, 0usize);

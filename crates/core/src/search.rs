@@ -32,16 +32,56 @@
 //!   τ-bounded search, then recovers the exact distance with a search
 //!   bounded by the (tighter) feasible bound itself.
 //!
+//! # The exact A\* core
+//!
+//! Every exact GED in the workspace runs through one search,
+//! [`exact_search_in`]: τ-bounded verification, the recovery searches of
+//! upper-bound and pivot accepts, pivot-table distances
+//! ([`pivot_distance`]), joins, and the ground-truth labelling of
+//! `ged_baselines::astar::astar_exact_with_limit`. The search tree maps
+//! node `u_d` of the smaller graph `G1` at depth `d` to a free node of
+//! `G2`; a state's cost `g` is maintained incrementally and its `f`
+//! adds the admissible label-multiset + remaining-edge-count bound (a
+//! complete mapping adds its exact closing cost instead).
+//!
+//! * **State arena.** A state is `(parent, mapped node, g, depth)` plus
+//!   the count of `G2` edges inside its image, kept in a flat arena in
+//!   the [`GedWorkspace`]; no state owns a mapping. Expanding a state
+//!   rebuilds its mapping by walking the parent links.
+//! * **O(1) child bounds.** Labels are compressed once per search. Per
+//!   expansion the label counts of the child depth's `G1` suffix and of
+//!   the unused `G2` nodes give their overlap `∩`; mapping to `v` lowers
+//!   it by one iff `c2(l_v) ≤ c1(l_v)`. The `G1` edges still uncharged
+//!   are tabled per depth, the `G2` ones are `|E2|` minus the image's
+//!   inner edges (the parent's count plus `v`'s used neighbours), and
+//!   edge tests read a per-search `G2` adjacency matrix.
+//! * **Traversal.** The open list is keyed `(f, n1 − depth, arena
+//!   index)`: smallest `f`, deeper first, then creation order. Both
+//!   pre-filter bounds (label-set, degree-sequence) run before the first
+//!   pop. Each pop checks, in order: `f > τ` (the verdict is
+//!   [`BoundedSearch::Exceeds`]), then the budget, then the goal test.
+//!   These are the traversal and the bounds of the earlier per-state
+//!   `Vec` implementation, computed incrementally, so every state is
+//!   expanded in the same order and every verdict and expansion count is
+//!   unchanged (`tests/exact_search_identity.rs` keeps the old loops as
+//!   references).
+//!
+//! **Budget semantics.** `budget` caps the states *popped*, the goal's
+//! pop included: the pop that finds `budget` states already expanded
+//! returns [`BoundedSearch::BudgetExhausted`] instead (so `budget = 0`
+//! decides only by the pre-filter bounds, and `usize::MAX` never runs
+//! out). The ground-truth wrapper counts only non-goal expansions against
+//! its `max_expanded` limit, so it runs the core with `τ = ∞` and
+//! `budget = max_expanded + 1` and reports `expanded − 1`.
+//!
 //! [`label_set_lower_bound`]: crate::lower_bound::label_set_lower_bound
 //! [`degree_sequence_lower_bound`]: crate::lower_bound::degree_sequence_lower_bound
 
 use crate::gedgw::Gedgw;
-use crate::lower_bound::{
-    degree_sequence_lower_bound, label_set_lower_bound, sorted_multiset_surplus,
-};
+use crate::lower_bound::{degree_sequence_lower_bound, label_set_lower_bound};
 use crate::pairs::ordered;
 use crate::workspace::{reset, GedWorkspace};
-use ged_graph::{CsrView, Graph, NodeMapping, PivotDistance};
+use ged_graph::{CsrView, Graph, Label, NodeMapping, PivotDistance};
 use ged_linalg::lsap_min_in;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -298,12 +338,9 @@ pub fn bounded_exact_ged_with_budget(
     bounded_exact_ged_with_budget_in(g1, g2, tau, budget, &mut GedWorkspace::new())
 }
 
-/// [`bounded_exact_ged_with_budget`] with the pre-filter bounds and the
-/// per-expansion mark/label scratch drawn from `ws`, and both graphs read
-/// through flat [`CsrView`]s rebuilt into the workspace. The state
-/// traversal (expansion order, heap tie-breaks, budget accounting) is
-/// identical to the allocating version, so results match for any
-/// (possibly dirty) workspace.
+/// [`bounded_exact_ged_with_budget`] running the [`exact_search_in`] core
+/// out of `ws`. Results match the allocating version for any (possibly
+/// dirty) workspace.
 #[must_use]
 pub fn bounded_exact_ged_with_budget_in(
     g1: &Graph,
@@ -312,167 +349,301 @@ pub fn bounded_exact_ged_with_budget_in(
     budget: usize,
     ws: &mut GedWorkspace,
 ) -> BoundedSearch {
+    exact_search_in(g1, g2, tau, budget, ws).outcome
+}
+
+/// One run of the exact A\* core ([`exact_search_in`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ExactSearch<'ws> {
+    /// The verdict.
+    pub outcome: BoundedSearch,
+    /// States popped and counted against the budget, the goal's pop
+    /// included (0 when a pre-filter bound decided the pair).
+    pub expanded: usize,
+    /// For [`BoundedSearch::Within`], the goal's node mapping in the
+    /// ordered orientation ([`ordered`]: smaller graph → larger graph);
+    /// empty otherwise.
+    pub mapping: &'ws [u32],
+}
+
+/// One state of the A\* arena: the partial mapping `u_i → node` of its
+/// ancestors plus `u_{depth−1} → node`, stored as a parent link. `inner`
+/// counts the `G2` edges with both ends in the mapping's image.
+#[derive(Clone, Copy, Debug)]
+struct ArenaState {
+    parent: u32,
+    node: u32,
+    depth: u32,
+    g: u32,
+    inner: u32,
+}
+
+/// The A\* core's scratch inside [`GedWorkspace`]: the state arena and
+/// open list plus the per-search tables the child bounds read.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SearchScratch {
+    arena: Vec<ArenaState>,
+    open: BinaryHeap<Reverse<(usize, usize, usize)>>,
+    /// Distinct labels of both graphs, sorted (the compression table).
+    labels: Vec<Label>,
+    /// Compressed node labels of `G1` / `G2`.
+    lab1: Vec<u32>,
+    lab2: Vec<u32>,
+    /// Per-label counts of the unmapped `G1` suffix / unused `G2` nodes.
+    count1: Vec<u32>,
+    count2: Vec<u32>,
+    /// `G2` adjacency matrix, row-major `n2 × n2`.
+    adj2: Vec<bool>,
+    /// `e1_rest[d]`: `G1` edges with an endpoint at depth `≥ d`.
+    e1_rest: Vec<usize>,
+    /// The expanded state's mapping and its image marks in `G2`.
+    mapping: Vec<u32>,
+    used: Vec<bool>,
+    /// Images of the expanded node's already-mapped `G1` neighbours.
+    pre: Vec<u32>,
+    /// Sorted zero-padded degree sequences (pre-filter).
+    deg1: Vec<usize>,
+    deg2: Vec<usize>,
+}
+
+impl SearchScratch {
+    /// Rebuilds `mapping` and its `used` image marks (over `n2` nodes) of
+    /// arena state `idx` by walking its parent links.
+    fn rebuild(&mut self, idx: usize, n2: usize) {
+        let depth = self.arena[idx].depth as usize;
+        reset(&mut self.mapping, depth, 0);
+        reset(&mut self.used, n2, false);
+        let mut at = idx;
+        for d in (0..depth).rev() {
+            let state = self.arena[at];
+            self.mapping[d] = state.node;
+            self.used[state.node as usize] = true;
+            at = state.parent as usize;
+        }
+    }
+}
+
+/// The exact A\* search every exact GED in the workspace runs through
+/// (see the [module docs](self)): τ-bounded, with a node-expansion
+/// `budget`, out of `ws`. `τ = usize::MAX` with `budget = usize::MAX` is
+/// plain exact A\*.
+///
+/// # Panics
+/// Panics if the search holds more than `u32::MAX` states.
+#[must_use]
+pub fn exact_search_in<'ws>(
+    g1: &Graph,
+    g2: &Graph,
+    tau: usize,
+    budget: usize,
+    ws: &'ws mut GedWorkspace,
+) -> ExactSearch<'ws> {
     let (a, b, _) = ordered(g1, g2);
     let GedWorkspace {
-        csr1,
-        csr2,
-        used,
-        matched,
-        rest1,
-        rest2,
-        deg1,
-        deg2,
-        ..
+        csr1, csr2, search, ..
     } = ws;
     csr1.rebuild_from(a);
     csr2.rebuild_from(b);
+    let (outcome, expanded) = search_core(csr1, csr2, tau, budget, search);
+    let mapping = match outcome {
+        BoundedSearch::Within(_) => &search.mapping[..],
+        BoundedSearch::Exceeds | BoundedSearch::BudgetExhausted => &[],
+    };
+    ExactSearch {
+        outcome,
+        expanded,
+        mapping,
+    }
+}
+
+/// [`exact_search_in`] on the ordered pair's views: the verdict and the
+/// expansion count. On `Within`, `s.mapping` holds the goal's mapping.
+fn search_core(
+    csr1: &CsrView,
+    csr2: &CsrView,
+    tau: usize,
+    budget: usize,
+    s: &mut SearchScratch,
+) -> (BoundedSearch, usize) {
     let n1 = csr1.num_nodes();
     let n2 = csr2.num_nodes();
+    let e2 = csr2.num_edges();
+
+    // Labels are compressed once: every label multiset below is a count
+    // vector over `0..labels.len()`.
+    s.labels.clear();
+    s.labels.extend_from_slice(csr1.labels());
+    s.labels.extend_from_slice(csr2.labels());
+    s.labels.sort_unstable();
+    s.labels.dedup();
+    let code = |l: &Label| s.labels.binary_search(l).expect("label was collected") as u32;
+    s.lab1.clear();
+    s.lab1.extend(csr1.labels().iter().map(code));
+    s.lab2.clear();
+    s.lab2.extend(csr2.labels().iter().map(code));
+    let nl = s.labels.len();
+    reset(&mut s.count1, nl, 0);
+    reset(&mut s.count2, nl, 0);
+    for &l in &s.lab1 {
+        s.count1[l as usize] += 1;
+    }
+    for &l in &s.lab2 {
+        s.count2[l as usize] += 1;
+    }
 
     // Both admissible bounds: each can dominate the other, and a bound
     // above τ proves GED > τ without expanding a single state. The label
-    // surplus is shared by both, so it is merged once.
-    rest1.clear();
-    rest1.extend_from_slice(csr1.labels());
-    rest1.sort_unstable();
-    rest2.clear();
-    rest2.extend_from_slice(csr2.labels());
-    rest2.sort_unstable();
-    let (o1, o2) = sorted_multiset_surplus(rest1, rest2);
-    let node_term = o1.max(o2);
-    if node_term + csr1.num_edges().abs_diff(csr2.num_edges()) > tau {
-        return BoundedSearch::Exceeds;
+    // surplus is shared by both, so it is computed once.
+    let common = overlap(&s.count1, &s.count2);
+    let node_term = (n1 - common).max(n2 - common);
+    if node_term + csr1.num_edges().abs_diff(e2) > tau {
+        return (BoundedSearch::Exceeds, 0);
     }
     let n = n1.max(n2);
-    deg1.clear();
-    deg1.extend((0..n1 as u32).map(|u| csr1.degree(u)));
-    deg1.resize(n, 0);
-    deg1.sort_unstable();
-    deg2.clear();
-    deg2.extend((0..n2 as u32).map(|u| csr2.degree(u)));
-    deg2.resize(n, 0);
-    deg2.sort_unstable();
-    let diff: usize = deg1.iter().zip(&*deg2).map(|(&x, &y)| x.abs_diff(y)).sum();
+    s.deg1.clear();
+    s.deg1.extend((0..n1 as u32).map(|u| csr1.degree(u)));
+    s.deg1.resize(n, 0);
+    s.deg1.sort_unstable();
+    s.deg2.clear();
+    s.deg2.extend((0..n2 as u32).map(|u| csr2.degree(u)));
+    s.deg2.resize(n, 0);
+    s.deg2.sort_unstable();
+    let diff: usize = s
+        .deg1
+        .iter()
+        .zip(&s.deg2)
+        .map(|(&x, &y)| x.abs_diff(y))
+        .sum();
     if node_term + diff.div_ceil(2) > tau {
-        return BoundedSearch::Exceeds;
+        return (BoundedSearch::Exceeds, 0);
     }
 
-    #[derive(Clone)]
-    struct State {
-        mapping: Vec<u32>,
-        g: usize,
+    // Per-search tables: the G2 adjacency matrix and, per depth, the G1
+    // edges not yet charged to `g` (at least one endpoint unmapped).
+    reset(&mut s.adj2, n2 * n2, false);
+    for (v, w) in csr2.edges() {
+        s.adj2[v as usize * n2 + w as usize] = true;
+        s.adj2[w as usize * n2 + v as usize] = true;
     }
-    let mut heap: BinaryHeap<Reverse<(usize, usize, usize)>> = BinaryHeap::new();
-    let mut states = vec![State {
-        mapping: Vec::new(),
+    reset(&mut s.e1_rest, n1 + 1, csr1.num_edges());
+    for d in 0..n1 {
+        let below = csr1
+            .neighbors(d as u32)
+            .iter()
+            .filter(|&&w| (w as usize) < d);
+        s.e1_rest[d + 1] = s.e1_rest[d] - below.count();
+    }
+
+    s.arena.clear();
+    s.open.clear();
+    s.arena.push(ArenaState {
+        parent: u32::MAX,
+        node: u32::MAX,
+        depth: 0,
         g: 0,
-    }];
-    heap.push(Reverse((0, n1, 0)));
+        inner: 0,
+    });
+    s.open.push(Reverse((0, n1, 0)));
 
     let mut expanded = 0usize;
-    while let Some(Reverse((f, _, idx))) = heap.pop() {
+    while let Some(Reverse((f, _, idx))) = s.open.pop() {
         if f > tau {
-            return BoundedSearch::Exceeds; // smallest f exceeds τ => GED > τ
+            // Smallest f exceeds τ ⇒ GED > τ.
+            return (BoundedSearch::Exceeds, expanded);
         }
         if expanded >= budget {
-            return BoundedSearch::BudgetExhausted;
+            return (BoundedSearch::BudgetExhausted, expanded);
         }
         expanded += 1;
-        let state = states[idx].clone();
-        if state.mapping.len() == n1 {
-            let total = state.g + closing_cost(csr2, &state.mapping, matched);
+        let state = s.arena[idx];
+        let depth = state.depth as usize;
+        if depth == n1 {
+            // Closing cost: insert the unmatched G2 nodes and every G2
+            // edge with an unmatched endpoint.
+            let total = state.g as usize + (n2 - n1) + (e2 - state.inner as usize);
             if total <= tau {
-                return BoundedSearch::Within(total);
+                s.rebuild(idx, n2);
+                return (BoundedSearch::Within(total), expanded);
             }
             continue;
         }
-        reset(used, n2, false);
-        for &v in &state.mapping {
-            used[v as usize] = true;
+        s.rebuild(idx, n2);
+
+        // Label counts of the child depth's G1 suffix and of the unused
+        // G2 nodes, and their overlap; mapping `u → v` lowers the overlap
+        // by one iff `v`'s label is no more common among the unused G2
+        // nodes than in the G1 suffix.
+        let u = depth;
+        let child = depth + 1;
+        reset(&mut s.count1, nl, 0);
+        reset(&mut s.count2, nl, 0);
+        for &l in &s.lab1[child..] {
+            s.count1[l as usize] += 1;
         }
-        let u = state.mapping.len() as u32;
-        for v in 0..n2 as u32 {
-            if used[v as usize] {
+        for (v, &l) in s.lab2.iter().enumerate() {
+            if !s.used[v] {
+                s.count2[l as usize] += 1;
+            }
+        }
+        let common = overlap(&s.count1, &s.count2);
+
+        // Edge `(u, w)` of G1 with `w < u` is preserved iff G2 has
+        // `(v, mapping[w])`; every other G2 edge from `v` into the image
+        // is an insertion.
+        s.pre.clear();
+        for &w in csr1.neighbors(u as u32) {
+            if (w as usize) < u {
+                s.pre.push(s.mapping[w as usize]);
+            }
+        }
+        assert!(
+            s.arena.len() + n2 <= u32::MAX as usize,
+            "A* arena exceeds u32 state indices"
+        );
+        let label_u = s.lab1[u];
+        for v in 0..n2 {
+            if s.used[v] {
                 continue;
             }
-            let mut delta = 0;
-            if csr1.label(u) != csr2.label(v) {
-                delta += 1;
-            }
-            for (w, &mw) in state.mapping.iter().enumerate() {
-                if csr1.has_edge(u, w as u32) != csr2.has_edge(v, mw) {
-                    delta += 1;
-                }
-            }
-            let mut mapping = state.mapping.clone();
-            mapping.push(v);
-            let g = state.g + delta;
-            let f = if mapping.len() == n1 {
-                g + closing_cost(csr2, &mapping, matched)
+            let row = &s.adj2[v * n2..(v + 1) * n2];
+            let linked = csr2
+                .neighbors(v as u32)
+                .iter()
+                .filter(|&&w| s.used[w as usize])
+                .count();
+            let kept = s.pre.iter().filter(|&&x| row[x as usize]).count();
+            let delta = usize::from(label_u != s.lab2[v]) + s.pre.len() + linked - 2 * kept;
+            let g = state.g as usize + delta;
+            let inner = state.inner as usize + linked;
+            let e2_rest = e2 - inner;
+            let f = if child == n1 {
+                g + (n2 - n1) + e2_rest
             } else {
-                // `used` + v is exactly the mark set of the extended
-                // mapping; undone right after the bound.
-                used[v as usize] = true;
-                let bound = remainder_bound(csr1, csr2, &mapping, used, rest1, rest2);
-                used[v as usize] = false;
-                g + bound
+                let l = s.lab2[v] as usize;
+                let common = common - usize::from(s.count2[l] <= s.count1[l]);
+                let node_term = (n1 - child - common).max(n2 - child - common);
+                g + node_term + s.e1_rest[child].abs_diff(e2_rest)
             };
             if f > tau {
                 continue;
             }
-            let depth = mapping.len();
-            states.push(State { mapping, g });
-            heap.push(Reverse((f, n1 - depth, states.len() - 1)));
+            s.arena.push(ArenaState {
+                parent: idx as u32,
+                node: v as u32,
+                depth: child as u32,
+                g: g as u32,
+                inner: inner as u32,
+            });
+            s.open.push(Reverse((f, n1 - child, s.arena.len() - 1)));
         }
     }
-    BoundedSearch::Exceeds
+    (BoundedSearch::Exceeds, expanded)
 }
 
-fn closing_cost(csr2: &CsrView, mapping: &[u32], matched: &mut Vec<bool>) -> usize {
-    reset(matched, csr2.num_nodes(), false);
-    for &v in mapping {
-        matched[v as usize] = true;
-    }
-    let mut cost = csr2.num_nodes() - mapping.len();
-    for (v, w) in csr2.edges() {
-        if !matched[v as usize] || !matched[w as usize] {
-            cost += 1;
-        }
-    }
-    cost
-}
-
-fn remainder_bound(
-    csr1: &CsrView,
-    csr2: &CsrView,
-    mapping: &[u32],
-    used: &[bool],
-    rest1: &mut Vec<ged_graph::Label>,
-    rest2: &mut Vec<ged_graph::Label>,
-) -> usize {
-    let depth = mapping.len();
-    rest1.clear();
-    rest1.extend_from_slice(&csr1.labels()[depth..]);
-    rest2.clear();
-    rest2.extend(
-        csr2.labels()
-            .iter()
-            .enumerate()
-            .filter(|&(v, _)| !used[v])
-            .map(|(_, &l)| l),
-    );
-    rest1.sort_unstable();
-    rest2.sort_unstable();
-    let (o1, o2) = sorted_multiset_surplus(rest1, rest2);
-    let e1 = csr1
-        .edges()
-        .filter(|&(x, y)| (x as usize) >= depth || (y as usize) >= depth)
-        .count();
-    let e2 = csr2
-        .edges()
-        .filter(|&(x, y)| !used[x as usize] || !used[y as usize])
-        .count();
-    o1.max(o2) + e1.abs_diff(e2)
+/// `Σ_l min(a_l, b_l)`: the size of the multiset intersection of two
+/// label count vectors.
+fn overlap(a: &[u32], b: &[u32]) -> usize {
+    a.iter().zip(b).map(|(&x, &y)| x.min(y) as usize).sum()
 }
 
 /// Fast feasible upper bound: round a (cheap) GEDGW coupling to a matching

@@ -7,7 +7,8 @@
 //! back to back: the OT/Frank–Wolfe buffers of
 //! [`ged_ot::OtWorkspace`], the GEDGW problem matrices, a pair of
 //! [`ged_graph::CsrView`]s the search and cost-matrix readers iterate,
-//! and the mark/label scratch of the A\* bounds.
+//! and the state arena, open list and bound tables of the exact A\*
+//! core ([`crate::search::exact_search_in`]).
 //!
 //! Batched drivers keep one workspace per worker thread
 //! (`BatchRunner::map_init`) so a store-level query allocates
@@ -17,7 +18,8 @@
 //! always safe to reuse, and the results are bit-identical to the
 //! allocating entry points.
 
-use ged_graph::{CsrView, Label};
+use crate::search::SearchScratch;
+use ged_graph::CsrView;
 use ged_linalg::Matrix;
 use ged_ot::OtWorkspace;
 
@@ -37,13 +39,8 @@ pub struct GedWorkspace {
     // Flat adjacency views of the current (ordered) pair.
     pub(crate) csr1: CsrView,
     pub(crate) csr2: CsrView,
-    // A* bound scratch: node marks and sorted label/degree multisets.
-    pub(crate) used: Vec<bool>,
-    pub(crate) matched: Vec<bool>,
-    pub(crate) rest1: Vec<Label>,
-    pub(crate) rest2: Vec<Label>,
-    pub(crate) deg1: Vec<usize>,
-    pub(crate) deg2: Vec<usize>,
+    // Exact A* scratch: state arena, open list, per-search bound tables.
+    pub(crate) search: SearchScratch,
 }
 
 impl GedWorkspace {

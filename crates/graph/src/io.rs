@@ -39,8 +39,9 @@ use crate::dataset::{DatasetKind, GraphDataset};
 use crate::graph::{Graph, Label};
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A structured JSON-codec error: what went wrong and exactly where.
 ///
@@ -210,6 +211,54 @@ pub fn save_dataset(ds: &GraphDataset, path: &Path) -> io::Result<()> {
 pub fn load_dataset(path: &Path) -> io::Result<GraphDataset> {
     let s = fs::read_to_string(path)?;
     dataset_from_json(&s).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+/// Replaces the file at `path` with `bytes` atomically: the bytes go to a
+/// fresh temporary file in the same directory, which is synced and then
+/// renamed over `path`, and the directory is synced so the rename is
+/// durable. A reader (or a crash) sees either the old file or the new
+/// one, never a partial write. When the write or the rename fails, the
+/// temporary file is removed and any previous file at `path` is left
+/// untouched.
+///
+/// # Errors
+/// Propagates I/O errors; a `path` without a file name (`/`, `..`) is
+/// [`io::ErrorKind::InvalidInput`], and a `path` naming a directory fails
+/// at the rename.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{} names no file", path.display()),
+        )
+    })?;
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    // Unique per process and per call, so concurrent saves never share a
+    // temporary file.
+    let tmp = dir.join(format!(
+        ".{}.{}.{}.tmp",
+        name.to_string_lossy(),
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let written = fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(&tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            f.sync_all()
+        })
+        .and_then(|()| fs::rename(&tmp, path));
+    if let Err(e) = written {
+        fs::remove_file(&tmp).ok();
+        return Err(e);
+    }
+    fs::File::open(dir)?.sync_all()
 }
 
 /// Recursive-descent parser for the fixed graph/dataset grammar above.

@@ -56,7 +56,7 @@
 
 use crate::csr::CsrView;
 use crate::graph::{Graph, Label};
-use crate::io::{ParseError, ParseErrorKind, Parser};
+use crate::io::{write_atomic, ParseError, ParseErrorKind, Parser};
 use crate::pivot::{PivotDistance, PivotIndex};
 use crate::store::{GraphId, GraphSignature, GraphStore};
 use std::collections::BTreeMap;
@@ -815,12 +815,14 @@ impl ShardedStore {
         Ok(())
     }
 
-    /// Writes the snapshot to `path`.
+    /// Writes the snapshot to `path`, atomically
+    /// ([`crate::io::write_atomic`]): a failed save leaves any previous
+    /// snapshot at `path` as it was.
     ///
     /// # Errors
     /// Propagates I/O errors.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        fs::write(path, self.to_json())
+        write_atomic(path, self.to_json().as_bytes())
     }
 
     /// Reads a snapshot from `path`. The restored store resolves exactly
@@ -1127,5 +1129,40 @@ mod tests {
         assert_eq!(loaded.ids(), store.ids());
         assert!(loaded.iter().eq(store.iter()));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_save_keeps_the_previous_snapshot_and_no_temporary_file() {
+        let dir = std::env::temp_dir().join(format!("ot_ged_atomic_save_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snapshot.json");
+        let blocker = dir.join("blocker");
+        std::fs::create_dir(&blocker).unwrap();
+        let listing = || {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+
+        random_store(1, 12, 31).save(&path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        // A target that names a directory: the save fails at the rename.
+        let err = random_store(1, 9, 32).save(&blocker);
+        assert!(err.is_err(), "saving over a directory must fail");
+        assert!(blocker.is_dir(), "the directory is left in place");
+        assert_eq!(std::fs::read(&path).unwrap(), before, "old snapshot intact");
+        assert_eq!(listing(), ["blocker", "snapshot.json"], "no temporary file");
+
+        // A successful save replaces the snapshot whole, again leaving
+        // no temporary file.
+        let next = random_store(1, 9, 33);
+        next.save(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), next.to_json().as_bytes());
+        assert_eq!(listing(), ["blocker", "snapshot.json"], "no temporary file");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

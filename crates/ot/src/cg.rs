@@ -9,7 +9,10 @@
 //! At each iteration the gradient `G = M + q · (L ⊗ π)` is linearized, the
 //! subproblem `min ⟨G, d⟩` over the Birkhoff polytope is solved exactly with
 //! LSAP (see [`crate::exact`]), and the step size comes from exact line
-//! search on the quadratic objective (Appendix B.4 / Eq. 21).
+//! search on the quadratic objective (Appendix B.4 / Eq. 21). Each
+//! iteration applies the GW tensor twice: to the direction `Δ` for the
+//! step size, and to the new `π` for both its objective and the next
+//! gradient.
 
 use crate::gw::{gw_tensor_apply, gw_tensor_apply_into};
 use crate::workspace::OtWorkspace;
@@ -125,9 +128,10 @@ pub fn conditional_gradient_in(
         ..
     } = ws;
 
-    // Objective ⟨π, M⟩ + (q/2)⟨π, L⊗π⟩ with L⊗π landing in `ldelta`.
-    gw_tensor_apply_into(c1, c2, pi, ldelta, gw);
-    let mut obj = pi.dot(linear) + 0.5 * q * pi.dot(ldelta);
+    // Objective ⟨π, M⟩ + (q/2)⟨π, L⊗π⟩. `lpi` holds L⊗π for the current
+    // π throughout: the objective and the next gradient share it.
+    gw_tensor_apply_into(c1, c2, pi, lpi, gw);
+    let mut obj = pi.dot(linear) + 0.5 * q * pi.dot(lpi);
     let mut history = vec![obj];
     let mut iters = 0;
 
@@ -135,7 +139,6 @@ pub fn conditional_gradient_in(
         iters += 1;
         // Gradient of the objective. For symmetric squared-loss L the
         // gradient of (q/2)⟨π, L⊗π⟩ is q·(L⊗π).
-        gw_tensor_apply_into(c1, c2, pi, lpi, gw);
         grad.resize_zeroed(n, m);
         for i in 0..n {
             let grow = grad.row_mut(i);
@@ -175,6 +178,7 @@ pub fn conditional_gradient_in(
 
         gw_tensor_apply_into(c1, c2, pi, ldelta, gw);
         let new_obj = pi.dot(linear) + 0.5 * q * pi.dot(ldelta);
+        std::mem::swap(lpi, ldelta);
         history.push(new_obj);
         let improved = obj - new_obj;
         obj = new_obj;

@@ -14,7 +14,9 @@
 //! `snapshot` / `load` persist and restore the store — pivot blocks,
 //! revisions, and the protocol name table included — via the hand-rolled
 //! grammar in [`crate::codec`]; `ged-served --store PATH` restores a
-//! snapshot at startup and names the default path for both ops.
+//! snapshot at startup and names the default path for both ops. A
+//! snapshot is written atomically ([`ged_graph::io::write_atomic`]), so a
+//! failed or interrupted `snapshot` leaves the previous file intact.
 //!
 //! Concurrency discipline:
 //!
@@ -51,6 +53,7 @@ use ged_core::pairs::GedPair;
 use ged_core::plan::QueryShape;
 use ged_core::solver::{GedgwSolver, SolverRegistry};
 use ged_core::GedError;
+use ged_graph::io::write_atomic;
 use ged_graph::{Graph, GraphId, GraphStore, ShardedStore};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -712,7 +715,7 @@ impl Server {
         self.with_read(|state, _| {
             let names: Vec<String> = state.ids.values().cloned().collect();
             let json = encode_server_snapshot(state.rev, state.next_name, &names, &state.store);
-            std::fs::write(&path, json.as_bytes()).map_err(|e| {
+            write_atomic(&path, json.as_bytes()).map_err(|e| {
                 (
                     ErrorCode::Io,
                     format!("cannot write snapshot {}: {e}", path.display()),

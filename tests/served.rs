@@ -514,14 +514,14 @@ fn deadline_aborts_store_queries_mid_execution() {
     };
     let (server, mut client) = serve_in_process(&config);
     let mut rng = SmallRng::seed_from_u64(PROPERTY_SEED + 500);
-    for _ in 0..32 {
+    for _ in 0..64 {
         let n = rng.gen_range(8..10);
         server.insert_local(random_connected(n, 3, &[3.0, 2.0, 1.0], &mut rng));
     }
 
     // Baseline: the full self-join, no deadline. τ = 3 keeps each
-    // τ-bounded search tractable while the 496-pair matrix still
-    // takes orders of magnitude longer than an aborted plan.
+    // τ-bounded search tractable while the 2016-pair matrix still
+    // takes over an order of magnitude longer than an aborted plan.
     let start = std::time::Instant::now();
     let resp = client.call(&Request::SelfJoin {
         id: "full".to_string(),
@@ -637,4 +637,63 @@ fn snapshot_and_load_restore_the_store_over_the_wire() {
     assert!(removed.rev > loaded.rev, "revisions keep climbing");
 
     std::fs::remove_file(&path).ok();
+}
+
+/// A `snapshot` that fails (its path names a directory) answers a typed
+/// I/O error, leaves the previous snapshot byte-identical, and leaves no
+/// temporary file beside it.
+#[test]
+fn failed_snapshot_keeps_the_previous_file() {
+    let dir = std::env::temp_dir().join(format!("ot_ged_served_atomic_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(dir.join("blocker")).expect("temp dir");
+    let path = dir.join("wire.snapshot.json");
+    let snapshot = |client: &mut ged_testkit::served::ServedClient, target: &std::path::Path| {
+        let line = format!(
+            "{{\"v\":1,\"id\":\"snap\",\"op\":\"snapshot\",\"path\":\"{}\"}}",
+            target.display()
+        );
+        ot_ged::server::parse_response(&client.request_line(&line))
+            .expect("well-formed")
+            .body
+    };
+
+    let (_server, mut client) = serve_in_process(&ServerConfig::default());
+    let mut rng = SmallRng::seed_from_u64(PROPERTY_SEED + 78);
+    let insert = |client: &mut ged_testkit::served::ServedClient, rng: &mut SmallRng, i: usize| {
+        let line = format!(
+            "{{\"v\":1,\"id\":\"s{i}\",\"op\":\"insert_graph\",\"graph\":{}}}",
+            graph_to_json(&small_graph(rng))
+        );
+        assert!(
+            client.request_line(&line).contains("\"ok\":true"),
+            "insert {i}"
+        );
+    };
+    for i in 0..4 {
+        insert(&mut client, &mut rng, i);
+    }
+    match snapshot(&mut client, &path) {
+        ResponseBody::Snapshotted { graphs, .. } => assert_eq!(graphs, 4),
+        other => panic!("expected snapshotted, got {other:?}"),
+    }
+    let before = std::fs::read(&path).expect("snapshot written");
+
+    insert(&mut client, &mut rng, 4);
+    match snapshot(&mut client, &dir.join("blocker")) {
+        ResponseBody::Error { code, .. } => assert_eq!(code, ErrorCode::Io),
+        other => panic!("expected an I/O error, got {other:?}"),
+    }
+    assert_eq!(std::fs::read(&path).expect("still there"), before);
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("listing")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        ["blocker", "wire.snapshot.json"],
+        "no temporary file"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
