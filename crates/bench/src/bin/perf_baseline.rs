@@ -18,7 +18,6 @@ use ged_core::gedgw::Gedgw;
 use ged_core::kbest::kbest_edit_path;
 use ged_core::method::MethodKind;
 use ged_core::pairs::GedPair;
-use ged_core::search::similarity_search;
 use ged_core::solver::{BatchRunner, GedgwSolver, SolverRegistry};
 use ged_graph::{generate, Graph, GraphDataset, ShardedStore};
 use ged_linalg::{lsap_min, lsap_min_munkres, Matrix};
@@ -415,22 +414,6 @@ fn search_suite(smoke: bool) -> Vec<Measurement> {
                         .join(&probes, &store, join_tau as f64)
                         .expect("valid join"),
                 );
-            },
-        ));
-    }
-
-    // similarity_search: the per-pair slice form of the three-tier plan.
-    {
-        let mut rng = SmallRng::seed_from_u64(10_000 + size as u64);
-        let store = GraphDataset::aids_like(size, &mut rng).into_store();
-        let db: Vec<Graph> = store.graphs().cloned().collect();
-        let query = db[0].clone();
-        out.push(measure(
-            "similarity_search",
-            format!("db={size},tau={tau}"),
-            1,
-            || {
-                black_box(similarity_search(&db, &query, tau));
             },
         ));
     }

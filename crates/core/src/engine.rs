@@ -1,7 +1,7 @@
 //! The typed request/response query API over every GED method.
 //!
 //! [`GedEngine`] is the stable front door the harness, the examples, and
-//! any future server/CLI layer sit on. It owns a [`SolverRegistry`]
+//! the `ged-served` daemon sit on. It owns a [`SolverRegistry`]
 //! (method implementations keyed by [`MethodKind`]), a [`BatchRunner`]
 //! (so store-level queries parallelize), a default method, a default
 //! edit-path beam width, and an optional prediction cache — all chosen
@@ -12,6 +12,19 @@
 //! registry, empty graphs, zero budgets, empty stores, foreign or removed
 //! [`GraphId`]s) is a [`GedError`] — the engine never panics on bad
 //! input.
+//!
+//! # One entry point
+//!
+//! Every request runs through [`GedEngine::run`]: a [`GedQuery`] plus
+//! [`QueryOptions`], which carry an optional method override and an
+//! optional cooperative [`Deadline`]. Store-level queries read either
+//! store kind through a [`StoreRef`] (`(&store).into()` for a
+//! [`GraphStore`] or a [`ShardedStore`]), and a stored graph is addressed
+//! by id through [`StoreRef::get`]. Around `run` sit
+//! [`GedEngine::query`] and [`GedEngine::query_as`] (default options, or
+//! a method), the parallel [`GedEngine::query_batch_as`], and the typed
+//! conveniences (`ged`, `top_k`, `range_exact_sharded`, ...), which run
+//! the default method with no deadline.
 //!
 //! | query | answer | workload |
 //! |-------|--------|----------|
@@ -26,7 +39,7 @@
 //!
 //! # Filter–verify search
 //!
-//! `TopK` and `Range` run over a [`GraphStore`] as a two-phase
+//! `TopK` and `Range` run over a store as a two-phase
 //! *filter–verify* plan, the classic GED search architecture the paper's
 //! similarity-search application calls for. The **filter** phase reads
 //! only the store's precomputed [`ged_graph::GraphSignature`]s and the
@@ -156,18 +169,28 @@
 //! let _id2 = store.insert(g2);
 //! let result = engine.top_k(&g1, &store, 1).unwrap();
 //! assert_eq!(result.neighbors[0].id, id1, "g1 is its own nearest neighbor");
+//!
+//! // The same search through the one entry point: any store kind, an
+//! // optional method override, an optional deadline.
+//! use ged_core::engine::{Deadline, QueryOptions, StoreRef};
+//! let options = QueryOptions { method: Some(MethodKind::Gedgw), deadline: Deadline::NONE };
+//! let query = GedQuery::TopK { query: &g1, store: (&store).into(), k: 1 };
+//! assert_eq!(engine.run(query, options).unwrap().into_top_k(), Some(result));
+//!
+//! // A stored graph is addressed by id.
+//! assert_eq!(StoreRef::from(&store).get(id1).unwrap(), &g1);
 //! ```
 
 use crate::error::GedError;
 use crate::method::MethodKind;
 use crate::pairs::GedPair;
-use crate::plan::{PlanStore, QueryPlanner};
+use crate::plan::QueryPlanner;
 use crate::search::{pivot_distance_in, ExactSearchStats, JoinStats};
 use crate::solver::{
     BatchRunner, GedEstimate, GedSolver, PathEstimate, SolverRegistry, SolverScratch,
 };
 use crate::workspace::GedWorkspace;
-use ged_graph::{Graph, GraphId, GraphStore, PivotIndex, ShardedStore};
+use ged_graph::{Graph, GraphDataset, GraphId, GraphStore, PivotIndex, ShardedStore};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -416,11 +439,12 @@ impl DistanceMatrix {
     }
 }
 
-/// A typed request against a [`GedEngine`].
+/// A typed request against a [`GedEngine`], answered by
+/// [`GedEngine::run`].
 ///
 /// Pair-level queries borrow a normalized [`GedPair`]; store-level
-/// queries borrow the [`GraphStore`], so building a query never clones
-/// graphs.
+/// queries borrow either store kind through a [`StoreRef`], so building a
+/// query never clones graphs.
 #[derive(Clone, Copy, Debug)]
 pub enum GedQuery<'a> {
     /// Estimate the GED of one pair (value only, possibly infeasible).
@@ -443,7 +467,7 @@ pub enum GedQuery<'a> {
         /// The query graph.
         query: &'a Graph,
         /// The store to search.
-        store: &'a GraphStore,
+        store: StoreRef<'a>,
         /// How many neighbors to return (must be ≥ 1).
         k: usize,
     },
@@ -454,7 +478,7 @@ pub enum GedQuery<'a> {
         /// The query graph.
         query: &'a Graph,
         /// The store to search.
-        store: &'a GraphStore,
+        store: StoreRef<'a>,
         /// The GED threshold τ (NaN is rejected; `+∞` degrades to a full
         /// scan; a negative τ simply matches nothing).
         tau: f64,
@@ -466,7 +490,7 @@ pub enum GedQuery<'a> {
         /// The query graph.
         query: &'a Graph,
         /// The store to search.
-        store: &'a GraphStore,
+        store: StoreRef<'a>,
         /// The GED threshold τ. GED is integral, so a fractional τ means
         /// `GED ≤ ⌊τ⌋`; NaN is rejected; `+∞` degrades to exact GED
         /// computation over the whole store (full scan); a negative τ
@@ -476,14 +500,14 @@ pub enum GedQuery<'a> {
     /// Compute the full pairwise distance matrix of a store.
     Matrix {
         /// The store to compare pairwise.
-        store: &'a GraphStore,
+        store: StoreRef<'a>,
     },
     /// Retrieve every pair of stored graphs whose **exact** GED is at
     /// most `tau` — the GED self-join (all `n·(n−1)/2` unordered pairs),
     /// via the shared-work join plan of [`crate::plan`].
     SelfJoin {
         /// The store to join with itself.
-        store: &'a GraphStore,
+        store: StoreRef<'a>,
         /// The GED threshold τ, with [`GedQuery::RangeExact`] semantics:
         /// fractional τ floors, NaN is rejected, `+∞` is a full join
         /// (exact GED of every pair), `0` joins isomorphism classes, a
@@ -496,11 +520,109 @@ pub enum GedQuery<'a> {
     Join {
         /// The left store (e.g. a query batch).
         store: &'a GraphStore,
-        /// The right store (e.g. the corpus).
-        other: &'a GraphStore,
+        /// The right store (e.g. the corpus), of either kind.
+        other: StoreRef<'a>,
         /// The GED threshold τ (same semantics as [`GedQuery::SelfJoin`]).
         tau: f64,
     },
+}
+
+/// A borrowed store of either kind: what every store-level [`GedQuery`]
+/// reads. A flat [`GraphStore`] is the one-shard special case of a
+/// [`ShardedStore`] (see [`crate::plan`]), so both kinds answer
+/// bit-identically over the same graphs. Build one with `From`:
+/// `(&store).into()` or `StoreRef::from(&store)`.
+#[derive(Clone, Copy, Debug)]
+pub enum StoreRef<'a> {
+    /// A flat store. Its pivot index lives in the engine and is synced
+    /// lazily by each query ([`GedEngine::pivot_ids`]).
+    Flat(&'a GraphStore),
+    /// A sharded store. Each shard owns its pivot block, armed by
+    /// [`GedEngine::sync_sharded_pivots`].
+    Sharded(&'a ShardedStore),
+}
+
+impl<'a> From<&'a GraphStore> for StoreRef<'a> {
+    fn from(store: &'a GraphStore) -> Self {
+        StoreRef::Flat(store)
+    }
+}
+
+/// A dataset is a flat store with split metadata (it dereferences to its
+/// [`GraphStore`], but `impl Into<StoreRef>` parameters do not deref).
+impl<'a> From<&'a GraphDataset> for StoreRef<'a> {
+    fn from(dataset: &'a GraphDataset) -> Self {
+        StoreRef::Flat(dataset)
+    }
+}
+
+impl<'a> From<&'a ShardedStore> for StoreRef<'a> {
+    fn from(store: &'a ShardedStore) -> Self {
+        StoreRef::Sharded(store)
+    }
+}
+
+impl<'a> StoreRef<'a> {
+    /// Number of stored graphs.
+    pub(crate) fn len(self) -> usize {
+        match self {
+            StoreRef::Flat(s) => s.len(),
+            StoreRef::Sharded(s) => s.len(),
+        }
+    }
+
+    /// The stored graph `id` — how a query addresses a graph by id.
+    ///
+    /// # Errors
+    /// [`GedError::UnknownGraphId`] if `id` is foreign to the store or
+    /// was removed.
+    pub fn get(self, id: GraphId) -> Result<&'a Graph, GedError> {
+        match self {
+            StoreRef::Flat(s) => s.get(id),
+            StoreRef::Sharded(s) => s.get(id),
+        }
+        .ok_or(GedError::UnknownGraphId(id))
+    }
+
+    /// Every graph in globally ascending id order.
+    #[must_use]
+    pub fn graphs(self) -> Vec<(GraphId, &'a Graph)> {
+        match self {
+            StoreRef::Flat(s) => s.iter().collect(),
+            StoreRef::Sharded(s) => s.iter().collect(),
+        }
+    }
+
+    /// Rejects empty stores ([`GedError::EmptyStore`]) and stores
+    /// containing node-less graphs ([`GedError::EmptyGraph`] naming the
+    /// first). Reads only the precomputed signatures, so validation
+    /// never touches a graph.
+    pub(crate) fn validate(self) -> Result<(), GedError> {
+        if self.len() == 0 {
+            return Err(GedError::EmptyStore);
+        }
+        let node_less = match self {
+            StoreRef::Flat(s) => s.entries().find(|(_, _, sig)| sig.num_nodes() == 0),
+            StoreRef::Sharded(s) => s.entries().find(|(_, _, sig)| sig.num_nodes() == 0),
+        };
+        match node_less {
+            Some((id, _, _)) => Err(GedError::EmptyGraph(format!("store graph {id}"))),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Per-call options of [`GedEngine::run`], the one place a method
+/// override or a deadline is applied. The default runs the engine's
+/// default method with no deadline, exactly like the typed conveniences.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct QueryOptions {
+    /// The method to answer with; `None` uses [`GedEngine::method`].
+    pub method: Option<MethodKind>,
+    /// A cooperative deadline for store-level queries
+    /// ([`Deadline::NONE`] by default). Pair-level `Value` and `Path`
+    /// queries run to completion.
+    pub deadline: Deadline,
 }
 
 /// The answer to a [`GedQuery`], variant-matched to the request.
@@ -613,8 +735,8 @@ impl GedResponse {
 /// [`GedError::DeadlineExceeded`] instead of occupying the worker pool
 /// for an answer nobody is waiting on. A deadline never changes a
 /// completed answer — a query that finishes in time is bit-identical to
-/// the deadline-free one. Attach one to an engine call via
-/// [`GedEngine::with_deadline`].
+/// the deadline-free one. Attach one to a query through
+/// [`QueryOptions::deadline`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Deadline(Option<std::time::Instant>);
 
@@ -712,7 +834,6 @@ pub struct GedEngineBuilder {
     verify_budget: usize,
     pivots: usize,
     adaptive: bool,
-    default_tau: Option<f64>,
 }
 
 impl GedEngineBuilder {
@@ -729,7 +850,6 @@ impl GedEngineBuilder {
             verify_budget: usize::MAX,
             pivots: 0,
             adaptive: false,
-            default_tau: None,
         }
     }
 
@@ -816,22 +936,11 @@ impl GedEngineBuilder {
         self
     }
 
-    /// Sets the engine's default range threshold τ, consumed by
-    /// [`GedEngine::range_default`] and [`GedEngine::range_exact_default`]
-    /// (unset by default). Must not be NaN at [`Self::build`] time; the
-    /// other τ semantics (`+∞` full scan, negative matches nothing)
-    /// follow [`GedQuery::Range`].
-    #[must_use]
-    pub fn default_tau(mut self, tau: f64) -> Self {
-        self.default_tau = Some(tau);
-        self
-    }
-
     /// Validates the configuration and builds the engine.
     ///
     /// # Errors
-    /// * [`GedError::Config`] — the registry is empty, the beam width or
-    ///   verify budget is zero, or the default τ is NaN.
+    /// * [`GedError::Config`] — the registry is empty, or the beam width
+    ///   or verify budget is zero.
     /// * [`GedError::MethodNotRegistered`] — the selected default method
     ///   has no solver in the registry.
     pub fn build(self) -> Result<GedEngine, GedError> {
@@ -843,11 +952,6 @@ impl GedEngineBuilder {
         if self.verify_budget == 0 {
             return Err(GedError::Config(
                 "verify budget must be at least 1 (usize::MAX = unlimited)".to_string(),
-            ));
-        }
-        if self.default_tau.is_some_and(f64::is_nan) {
-            return Err(GedError::Config(
-                "default range threshold must not be NaN".to_string(),
             ));
         }
         let method = match self.method {
@@ -876,7 +980,6 @@ impl GedEngineBuilder {
             pivot_cache: Mutex::new(None),
             cache,
             planner: self.adaptive.then(|| Mutex::new(QueryPlanner::new())),
-            default_tau: self.default_tau,
         })
     }
 }
@@ -903,9 +1006,6 @@ pub struct GedEngine {
     /// decision derived from it is result-invariant, so concurrent
     /// queries may interleave observations freely (see [`crate::plan`]).
     pub(crate) planner: Option<Mutex<QueryPlanner>>,
-    /// The default range threshold of [`Self::range_default`] /
-    /// [`Self::range_exact_default`] (validated non-NaN at build time).
-    default_tau: Option<f64>,
 }
 
 impl std::fmt::Debug for GedEngine {
@@ -956,51 +1056,6 @@ impl GedEngine {
         self.pivot_target
     }
 
-    /// The configured default range threshold
-    /// ([`GedEngineBuilder::default_tau`]), if any. Never NaN.
-    #[must_use]
-    pub fn default_tau(&self) -> Option<f64> {
-        self.default_tau
-    }
-
-    /// Range search at the engine's default threshold
-    /// ([`GedEngineBuilder::default_tau`]), with the default method.
-    ///
-    /// # Errors
-    /// [`GedError::Config`] if no default τ was configured; otherwise see
-    /// [`Self::range_as`].
-    pub fn range_default(
-        &self,
-        query: &Graph,
-        store: &GraphStore,
-    ) -> Result<SearchResult, GedError> {
-        let tau = self.require_default_tau()?;
-        self.range_as(self.method, query, store, tau)
-    }
-
-    /// Exact range search at the engine's default threshold
-    /// ([`GedEngineBuilder::default_tau`]), with the default method.
-    ///
-    /// # Errors
-    /// [`GedError::Config`] if no default τ was configured; otherwise see
-    /// [`Self::range_exact_as`].
-    pub fn range_exact_default(
-        &self,
-        query: &Graph,
-        store: &GraphStore,
-    ) -> Result<RangeExactResult, GedError> {
-        let tau = self.require_default_tau()?;
-        self.range_exact_as(self.method, query, store, tau)
-    }
-
-    fn require_default_tau(&self) -> Result<f64, GedError> {
-        self.default_tau.ok_or_else(|| {
-            GedError::Config(
-                "no default range threshold configured (GedEngineBuilder::default_tau)".to_string(),
-            )
-        })
-    }
-
     /// Syncs (or lazily builds) the cached pivot index against `store`
     /// and returns a snapshot of it. The mutex is held only for the
     /// sync itself — on an unchanged store that is an `O(1)` revision
@@ -1044,33 +1099,52 @@ impl GedEngine {
     }
 
     /// The triangle-inequality `[lb, ub]` bounds on the exact GED between
-    /// `query` and every graph of `store`, derived from the engine's
-    /// pivot table (synced to the store first, built on first use; the
-    /// `p` query-to-pivot distances are computed once per call, outside
-    /// the index lock). `None` when the pivot tier is disabled or the
-    /// store is empty.
+    /// `query` and every graph of `store`, exactly as the store-level
+    /// plans see them. Each store kind keeps its own pivot rule:
     ///
-    /// This is the tier the store-level plans consume; it is public so
-    /// callers (and the `ged-testkit` brute-force oracles) can observe
-    /// exactly the bounds a query used.
+    /// * a flat store reads the engine's pivot table (synced to the store
+    ///   first, built on first use; the `p` query-to-pivot distances are
+    ///   computed once per call, outside the index lock) and gives `None`
+    ///   when the pivot tier is disabled or the store is empty;
+    /// * a sharded store reads its shards' own pivot blocks and gives
+    ///   `None` unless every shard is synced at this engine's pivot
+    ///   target ([`ShardedStore::pivots_ready`], armed by
+    ///   [`Self::sync_sharded_pivots`]).
+    ///
+    /// It is public so callers (and the `ged-testkit` brute-force
+    /// oracles) can observe exactly the bounds a query used.
     #[must_use]
-    pub fn pivot_bounds(
+    pub fn pivot_bounds<'s>(
         &self,
         query: &Graph,
-        store: &GraphStore,
+        store: impl Into<StoreRef<'s>>,
     ) -> Option<BTreeMap<GraphId, (usize, usize)>> {
-        let index = self.synced_pivot_index(store)?;
         let mut ws = GedWorkspace::new();
         let mut oracle =
             |a: &Graph, b: &Graph| pivot_distance_in(a, b, self.verify_budget, &mut ws);
-        let qdists = index.query_distances(store, query, &mut oracle);
-        Some(
-            store
-                .ids()
-                .into_iter()
-                .map(|id| (id, index.bounds(&qdists, id).expect("index is synced")))
-                .collect(),
-        )
+        let mut out = BTreeMap::new();
+        match store.into() {
+            StoreRef::Flat(store) => {
+                let index = self.synced_pivot_index(store)?;
+                let qdists = index.query_distances(store, query, &mut oracle);
+                for id in store.ids() {
+                    out.insert(id, index.bounds(&qdists, id).expect("index is synced"));
+                }
+            }
+            StoreRef::Sharded(store) => {
+                if !store.pivots_ready(self.pivot_target) {
+                    return None;
+                }
+                for shard in store.shards() {
+                    let index = shard.pivot_index().expect("pivots_ready");
+                    let qdists = index.query_distances(shard.store(), query, &mut oracle);
+                    for id in shard.store().ids() {
+                        out.insert(id, index.bounds(&qdists, id).expect("index is synced"));
+                    }
+                }
+            }
+        }
+        Some(out)
     }
 
     /// Every method this engine can answer for, in registration order.
@@ -1102,18 +1176,41 @@ impl GedEngine {
 
     // -- the request/response surface ------------------------------------
 
-    /// Answers `query` with the engine's default method.
+    /// Answers `query` with the engine's default method and no deadline:
+    /// [`Self::run`] with [`QueryOptions::default`].
     ///
     /// # Errors
-    /// See [`Self::query_as`].
+    /// See [`Self::run`].
     pub fn query(&self, query: GedQuery<'_>) -> Result<GedResponse, GedError> {
-        self.query_as(self.method, query)
+        self.run(query, QueryOptions::default())
     }
 
-    /// Answers `query` with an explicit method, overriding the default.
+    /// Answers `query` with an explicit method, overriding the default:
+    /// [`Self::run`] with only [`QueryOptions::method`] set.
     ///
     /// # Errors
-    /// * [`GedError::MethodNotRegistered`] — no solver for `method`.
+    /// See [`Self::run`].
+    pub fn query_as(
+        &self,
+        method: MethodKind,
+        query: GedQuery<'_>,
+    ) -> Result<GedResponse, GedError> {
+        let options = QueryOptions {
+            method: Some(method),
+            deadline: Deadline::NONE,
+        };
+        self.run(query, options)
+    }
+
+    /// Answers `query` under `options` — the one entry point every
+    /// request runs through, and the one place a method override or a
+    /// deadline is applied. Store-level queries read either store kind
+    /// through their [`StoreRef`]; the deadline is checked between their
+    /// verification blocks. Pair-level `Value` and `Path` queries ignore
+    /// the deadline: each is one solver call.
+    ///
+    /// # Errors
+    /// * [`GedError::MethodNotRegistered`] — no solver for the method.
     /// * [`GedError::EmptyGraph`] — an input graph has no nodes.
     /// * [`GedError::PathsUnsupported`] — a `Path` query against a pure
     ///   value regressor.
@@ -1121,144 +1218,89 @@ impl GedEngine {
     /// * [`GedError::EmptyStore`] — a store-level query against an
     ///   empty store.
     /// * [`GedError::Config`] — a NaN range threshold.
-    pub fn query_as(
-        &self,
-        method: MethodKind,
-        query: GedQuery<'_>,
-    ) -> Result<GedResponse, GedError> {
-        self.query_in(method, query, &mut SolverScratch::new())
+    /// * [`GedError::DeadlineExceeded`] — the deadline passed before a
+    ///   store-level query finished.
+    pub fn run(&self, query: GedQuery<'_>, options: QueryOptions) -> Result<GedResponse, GedError> {
+        self.run_in(query, options, &mut SolverScratch::new())
     }
 
-    /// [`Self::query_as`] with a caller's scratch: a `Value` query draws
-    /// its solver state from `scratch` (store-level plans keep one
-    /// scratch per worker of their own).
-    fn query_in(
+    /// [`Self::run`] with a caller's scratch: a `Value` query draws its
+    /// solver state from `scratch` (store-level plans keep one scratch
+    /// per worker of their own).
+    fn run_in(
         &self,
-        method: MethodKind,
         query: GedQuery<'_>,
+        options: QueryOptions,
         scratch: &mut SolverScratch,
     ) -> Result<GedResponse, GedError> {
+        let method = options.method.unwrap_or(self.method);
+        let deadline = options.deadline;
         match query {
             GedQuery::Value { pair } => self
                 .predict_in(method, pair, scratch)
                 .map(GedResponse::Value),
-            GedQuery::Path { pair, k } => self.edit_path_as(method, pair, k).map(GedResponse::Path),
+            GedQuery::Path { pair, k } => self.path_of(method, pair, k).map(GedResponse::Path),
             GedQuery::TopK { query, store, k } => self
-                .top_k_as(method, query, store, k)
+                .plan_top_k(method, query, store, k, deadline)
                 .map(GedResponse::TopK),
             GedQuery::Range { query, store, tau } => self
-                .range_as(method, query, store, tau)
+                .plan_range(method, query, store, tau, deadline)
                 .map(GedResponse::Range),
             GedQuery::RangeExact { query, store, tau } => self
-                .range_exact_as(method, query, store, tau)
+                .plan_range_exact(method, query, store, tau, deadline)
                 .map(GedResponse::RangeExact),
             GedQuery::Matrix { store } => self
-                .distance_matrix_as(method, store)
+                .plan_matrix(method, store, deadline)
                 .map(GedResponse::Matrix),
             GedQuery::SelfJoin { store, tau } => self
-                .self_join_as(method, store, tau)
+                .plan_self_join(method, store, tau, deadline)
                 .map(GedResponse::SelfJoin),
             GedQuery::Join { store, other, tau } => self
-                .join_as(method, store, other, tau)
+                .plan_join(method, store.into(), other, tau, deadline)
                 .map(GedResponse::Join),
         }
     }
 
-    /// Answers a batch of queries in parallel (input order preserved,
-    /// results bit-identical to a sequential loop), with the default
-    /// method.
-    #[must_use]
-    pub fn query_batch(&self, queries: &[GedQuery<'_>]) -> Vec<Result<GedResponse, GedError>> {
-        self.query_batch_as(self.method, queries)
-    }
-
-    /// Answers a batch of queries in parallel with an explicit method.
-    /// Each worker keeps one [`SolverScratch`] across its queries, so a
-    /// graph shared by consecutive `Value` queries is embedded once by
-    /// GEDIOT and GEDHOT.
+    /// Answers a batch of queries in parallel with an explicit method
+    /// (input order preserved, results bit-identical to a sequential
+    /// loop of [`Self::query_as`]). The batch may mix pair-level queries
+    /// and store-level queries over either store kind. Each worker keeps
+    /// one [`SolverScratch`] across its queries, so a graph shared by
+    /// consecutive `Value` queries is embedded once by GEDIOT and GEDHOT.
     #[must_use]
     pub fn query_batch_as(
         &self,
         method: MethodKind,
         queries: &[GedQuery<'_>],
     ) -> Vec<Result<GedResponse, GedError>> {
+        let options = QueryOptions {
+            method: Some(method),
+            deadline: Deadline::NONE,
+        };
         self.runner
             .map_init(queries, SolverScratch::new, |scratch, q| {
-                self.query_in(method, *q, scratch)
+                self.run_in(*q, options, scratch)
             })
     }
 
-    // -- typed conveniences (thin wrappers over the same logic) ----------
+    // -- typed conveniences: the default method, no deadline -------------
 
     /// Estimates the GED of two graphs with the default method.
     ///
     /// # Errors
-    /// See [`Self::query_as`].
+    /// See [`Self::run`].
     pub fn ged(&self, g1: &Graph, g2: &Graph) -> Result<GedEstimate, GedError> {
-        self.ged_as(self.method, g1, g2)
-    }
-
-    /// Estimates the GED of two graphs with an explicit method.
-    ///
-    /// # Errors
-    /// See [`Self::query_as`].
-    pub fn ged_as(
-        &self,
-        method: MethodKind,
-        g1: &Graph,
-        g2: &Graph,
-    ) -> Result<GedEstimate, GedError> {
         ensure_nonempty(g1, "g1")?;
         ensure_nonempty(g2, "g2")?;
-        self.predict_as(method, &GedPair::new(g1.clone(), g2.clone()))
-    }
-
-    /// Estimates the GED of two *stored* graphs, addressed by id, with
-    /// the default method.
-    ///
-    /// # Errors
-    /// See [`Self::ged_by_ids_as`].
-    pub fn ged_by_ids(
-        &self,
-        store: &GraphStore,
-        a: GraphId,
-        b: GraphId,
-    ) -> Result<GedEstimate, GedError> {
-        self.ged_by_ids_as(self.method, store, a, b)
-    }
-
-    /// Estimates the GED of two stored graphs, addressed by id, with an
-    /// explicit method.
-    ///
-    /// # Errors
-    /// [`GedError::UnknownGraphId`] if either id is foreign to `store` or
-    /// was removed; otherwise see [`Self::query_as`].
-    pub fn ged_by_ids_as(
-        &self,
-        method: MethodKind,
-        store: &GraphStore,
-        a: GraphId,
-        b: GraphId,
-    ) -> Result<GedEstimate, GedError> {
-        let ga = resolve(store, a)?;
-        let gb = resolve(store, b)?;
-        self.ged_as(method, ga, gb)
+        self.predict(&GedPair::new(g1.clone(), g2.clone()))
     }
 
     /// Estimates the GED of a prepared pair with the default method.
     ///
     /// # Errors
-    /// See [`Self::query_as`].
+    /// See [`Self::run`].
     pub fn predict(&self, pair: &GedPair) -> Result<GedEstimate, GedError> {
-        self.predict_as(self.method, pair)
-    }
-
-    /// Estimates the GED of a prepared pair with an explicit method.
-    ///
-    /// # Errors
-    /// See [`Self::query_as`].
-    pub fn predict_as(&self, method: MethodKind, pair: &GedPair) -> Result<GedEstimate, GedError> {
-        self.predict_in(method, pair, &mut SolverScratch::new())
+        self.predict_in(self.method, pair, &mut SolverScratch::new())
     }
 
     fn predict_in(
@@ -1283,23 +1325,20 @@ impl GedEngine {
     /// [`GedPair::new`] must not silently invert them).
     ///
     /// # Errors
-    /// See [`Self::query_as`].
+    /// See [`Self::run`].
     pub fn edit_path(&self, g1: &Graph, g2: &Graph) -> Result<PathEstimate, GedError> {
         ensure_nonempty(g1, "g1")?;
         ensure_nonempty(g2, "g2")?;
-        self.edit_path_as(
+        self.path_of(
             self.method,
             &GedPair::directed(g1.clone(), g2.clone()),
             None,
         )
     }
 
-    /// Generates a feasible edit path for a prepared pair with an
-    /// explicit method; `k = None` uses the engine's beam width.
-    ///
-    /// # Errors
-    /// See [`Self::query_as`].
-    pub fn edit_path_as(
+    /// The `Path` query: a feasible edit path for a prepared pair; `k =
+    /// None` uses the engine's beam width.
+    fn path_of(
         &self,
         method: MethodKind,
         pair: &GedPair,
@@ -1318,22 +1357,8 @@ impl GedEngine {
     }
 
     /// Ranks `store` by estimated GED to `query` and returns the `k`
-    /// nearest graphs, with the default method. See [`Self::top_k_as`].
-    ///
-    /// # Errors
-    /// See [`Self::query_as`].
-    pub fn top_k(
-        &self,
-        query: &Graph,
-        store: &GraphStore,
-        k: usize,
-    ) -> Result<SearchResult, GedError> {
-        self.top_k_as(self.method, query, store, k)
-    }
-
-    /// Ranks `store` by estimated GED to `query` with an explicit method,
-    /// through the unified filter–verify pipeline of [`crate::plan`]
-    /// (the flat store is the one-shard special case): candidates are
+    /// nearest graphs ([`GedQuery::TopK`]), through the unified
+    /// filter–verify pipeline of [`crate::plan`]: candidates are
     /// processed in ascending-lower-bound order, and once `k` candidates
     /// are verified, any candidate whose lower bound exceeds the running
     /// k-th-best distance is discarded unverified. Verification runs in
@@ -1344,65 +1369,35 @@ impl GedEngine {
     /// ranked).
     ///
     /// # Errors
-    /// See [`Self::query_as`].
-    pub fn top_k_as(
-        &self,
-        method: MethodKind,
-        query: &Graph,
-        store: &GraphStore,
-        k: usize,
-    ) -> Result<SearchResult, GedError> {
-        self.plan_top_k(method, query, PlanStore::Flat(store), k, Deadline::NONE)
-    }
-
-    /// Ranks `store` by estimated GED to the *stored* graph `id`, with
-    /// the default method.
-    ///
-    /// # Errors
-    /// See [`Self::top_k_by_id_as`].
-    pub fn top_k_by_id(
-        &self,
-        store: &GraphStore,
-        id: GraphId,
-        k: usize,
-    ) -> Result<SearchResult, GedError> {
-        self.top_k_by_id_as(self.method, store, id, k)
-    }
-
-    /// Ranks `store` by estimated GED to the stored graph `id` with an
-    /// explicit method. The query graph itself stays in the candidate set
-    /// (its self-distance ranks it first for any sane solver).
-    ///
-    /// # Errors
-    /// [`GedError::UnknownGraphId`] if `id` is foreign to `store` or was
-    /// removed; otherwise see [`Self::query_as`].
-    pub fn top_k_by_id_as(
-        &self,
-        method: MethodKind,
-        store: &GraphStore,
-        id: GraphId,
-        k: usize,
-    ) -> Result<SearchResult, GedError> {
-        let query = resolve(store, id)?;
-        self.top_k_as(method, query, store, k)
-    }
-
-    /// Retrieves every stored graph within GED ≤ `tau` of `query`, with
-    /// the default method. See [`Self::range_as`].
-    ///
-    /// # Errors
-    /// See [`Self::query_as`].
-    pub fn range(
+    /// See [`Self::run`].
+    pub fn top_k(
         &self,
         query: &Graph,
         store: &GraphStore,
-        tau: f64,
+        k: usize,
     ) -> Result<SearchResult, GedError> {
-        self.range_as(self.method, query, store, tau)
+        self.plan_top_k(self.method, query, store.into(), k, Deadline::NONE)
     }
 
-    /// Retrieves every stored graph within GED ≤ `tau` of `query` with an
-    /// explicit method, through the filter–verify plan of the
+    /// [`Self::top_k`] over a [`ShardedStore`]: the four-tier plan, where
+    /// shards whose aggregate bound exceeds the running k-th best are
+    /// skipped wholesale (`pruned_shard`) and surviving shards merge into
+    /// one result set bounded at `k`. Answers are bit-identical to the
+    /// flat plan over the same graphs.
+    ///
+    /// # Errors
+    /// See [`Self::run`].
+    pub fn top_k_sharded(
+        &self,
+        query: &Graph,
+        store: &ShardedStore,
+        k: usize,
+    ) -> Result<SearchResult, GedError> {
+        self.plan_top_k(self.method, query, store.into(), k, Deadline::NONE)
+    }
+
+    /// Retrieves every stored graph within GED ≤ `tau` of `query`
+    /// ([`GedQuery::Range`]), through the filter–verify plan of the
     /// [module docs](self): the label-set bound discards first, the
     /// degree-sequence bound second, and only the surviving candidates
     /// are verified (in parallel through the engine's [`BatchRunner`]).
@@ -1412,133 +1407,183 @@ impl GedEngine {
     /// the τ = ∞ semantics of [`crate::search`].
     ///
     /// # Errors
-    /// [`GedError::Config`] if `tau` is NaN; otherwise see
-    /// [`Self::query_as`].
-    pub fn range_as(
+    /// [`GedError::Config`] if `tau` is NaN; otherwise see [`Self::run`].
+    pub fn range(
         &self,
-        method: MethodKind,
         query: &Graph,
         store: &GraphStore,
         tau: f64,
     ) -> Result<SearchResult, GedError> {
-        self.plan_range(method, query, PlanStore::Flat(store), tau, Deadline::NONE)
+        self.plan_range(self.method, query, store.into(), tau, Deadline::NONE)
     }
 
-    /// Range search around the *stored* graph `id`, with the default
-    /// method — the `Range` counterpart of [`Self::top_k_by_id`]. The
-    /// query graph itself stays in the candidate set (its self-distance
-    /// 0 always matches for τ ≥ 0).
+    /// [`Self::range`] over a [`ShardedStore`]: shards whose aggregate
+    /// bound exceeds `tau` are skipped wholesale, survivors run the flat
+    /// per-graph plan. Answers are bit-identical to the flat plan over
+    /// the same graphs.
     ///
     /// # Errors
-    /// See [`Self::range_by_id_as`].
-    pub fn range_by_id(
+    /// See [`Self::range`].
+    pub fn range_sharded(
         &self,
-        store: &GraphStore,
-        id: GraphId,
+        query: &Graph,
+        store: &ShardedStore,
         tau: f64,
     ) -> Result<SearchResult, GedError> {
-        self.range_by_id_as(self.method, store, id, tau)
-    }
-
-    /// Range search around the stored graph `id` with an explicit method.
-    ///
-    /// # Errors
-    /// [`GedError::UnknownGraphId`] if `id` is foreign to `store` or was
-    /// removed; otherwise see [`Self::range_as`].
-    pub fn range_by_id_as(
-        &self,
-        method: MethodKind,
-        store: &GraphStore,
-        id: GraphId,
-        tau: f64,
-    ) -> Result<SearchResult, GedError> {
-        let query = resolve(store, id)?;
-        self.range_as(method, query, store, tau)
+        self.plan_range(self.method, query, store.into(), tau, Deadline::NONE)
     }
 
     /// Retrieves every stored graph whose **exact** GED to `query` is
-    /// ≤ `tau`, with the default method. See [`Self::range_exact_as`].
+    /// ≤ `tau` ([`GedQuery::RangeExact`]), through the three-tier
+    /// filter–prune–verify plan of the [module docs](self): the
+    /// signature-fed lower bounds discard, the feasible GEDGW upper bound
+    /// accepts early, and survivors run the τ-bounded exact search in
+    /// parallel through the engine's [`BatchRunner`], each capped at
+    /// [`Self::verify_budget`] node expansions.
+    ///
+    /// Every tier is exact or admissible, so — unlike every other store
+    /// query — the answer does **not** depend on the method: a method
+    /// override ([`QueryOptions::method`]) is validated for dispatch
+    /// symmetry but cannot change the result. `tau` follows
+    /// [`GedQuery::RangeExact`]: fractional τ floors, `+∞` is a full
+    /// exact scan, negative matches nothing.
     ///
     /// # Errors
-    /// See [`Self::range_exact_as`].
+    /// [`GedError::Config`] if `tau` is NaN; otherwise see [`Self::run`].
     pub fn range_exact(
         &self,
         query: &Graph,
         store: &GraphStore,
         tau: f64,
     ) -> Result<RangeExactResult, GedError> {
-        self.range_exact_as(self.method, query, store, tau)
+        self.plan_range_exact(self.method, query, store.into(), tau, Deadline::NONE)
     }
 
-    /// Retrieves every stored graph whose **exact** GED to `query` is
-    /// ≤ `tau`, through the three-tier filter–prune–verify plan of the
-    /// [module docs](self): the signature-fed lower bounds discard,
-    /// the feasible GEDGW upper bound accepts early, and survivors run
-    /// the τ-bounded exact search in parallel through the engine's
-    /// [`BatchRunner`], each capped at [`Self::verify_budget`] node
-    /// expansions.
-    ///
-    /// Every tier is exact or admissible, so — unlike every other store
-    /// query — the answer does **not** depend on `method`: the parameter
-    /// is validated for dispatch symmetry with [`Self::query_as`] but
-    /// cannot change the result. `tau` follows [`GedQuery::RangeExact`]:
-    /// fractional τ floors, `+∞` is a full exact scan, negative matches
-    /// nothing.
+    /// [`Self::range_exact`] over a [`ShardedStore`]: shard → pivot →
+    /// signature → verify. Shards whose aggregate bound exceeds ⌊τ⌋
+    /// contribute their whole population to `pruned_shard`; survivors run
+    /// the flat per-graph tiers, and the cross-shard survivor set is
+    /// verified in one parallel batch in globally ascending id order —
+    /// the same order, outcomes, and matches as the flat plan over the
+    /// same graphs. [`ExactSearchStats::total`] still closes to the
+    /// store size.
     ///
     /// # Errors
-    /// [`GedError::Config`] if `tau` is NaN; otherwise see
-    /// [`Self::query_as`].
-    pub fn range_exact_as(
+    /// See [`Self::range_exact`].
+    pub fn range_exact_sharded(
         &self,
-        method: MethodKind,
         query: &Graph,
-        store: &GraphStore,
+        store: &ShardedStore,
         tau: f64,
     ) -> Result<RangeExactResult, GedError> {
-        self.plan_range_exact(method, query, PlanStore::Flat(store), tau, Deadline::NONE)
+        self.plan_range_exact(self.method, query, store.into(), tau, Deadline::NONE)
     }
 
-    /// Exact range search around the *stored* graph `id`, with the
-    /// default method. The query graph itself stays in the candidate set
-    /// (its self-distance 0 always matches for τ ≥ 0).
-    ///
-    /// # Errors
-    /// [`GedError::UnknownGraphId`] if `id` is foreign to `store` or was
-    /// removed; otherwise see [`Self::range_exact_as`].
-    pub fn range_exact_by_id(
-        &self,
-        store: &GraphStore,
-        id: GraphId,
-        tau: f64,
-    ) -> Result<RangeExactResult, GedError> {
-        let query = resolve(store, id)?;
-        self.range_exact_as(self.method, query, store, tau)
-    }
-
-    /// Computes the pairwise distance matrix of `store` with the
-    /// default method. See [`Self::distance_matrix_as`].
-    ///
-    /// # Errors
-    /// See [`Self::query_as`].
-    pub fn distance_matrix(&self, store: &GraphStore) -> Result<DistanceMatrix, GedError> {
-        self.distance_matrix_as(self.method, store)
-    }
-
-    /// Computes the pairwise distance matrix of `store` with an
-    /// explicit method. Only the upper triangle is evaluated (GED is
-    /// symmetric) — `n·(n−1)/2` predictions, parallelized through the
+    /// Computes the pairwise distance matrix of `store`
+    /// ([`GedQuery::Matrix`]). Only the upper triangle is evaluated (GED
+    /// is symmetric) — `n·(n−1)/2` predictions, parallelized through the
     /// engine's [`BatchRunner`] — then mirrored; the diagonal is zero.
     /// Entries are raw solver predictions (no bound refinement), matching
-    /// per-pair [`Self::predict_as`] calls bit for bit.
+    /// per-pair [`Self::predict`] calls bit for bit.
     ///
     /// # Errors
-    /// See [`Self::query_as`].
-    pub fn distance_matrix_as(
+    /// See [`Self::run`].
+    pub fn distance_matrix(&self, store: &GraphStore) -> Result<DistanceMatrix, GedError> {
+        self.plan_matrix(self.method, store.into(), Deadline::NONE)
+    }
+
+    /// [`Self::distance_matrix`] over a [`ShardedStore`]: the same kernel
+    /// over the globally id-ordered graph sequence, so the result is
+    /// bit-identical to the flat matrix of the same graphs. (No shard
+    /// tier here — every pair must be computed.)
+    ///
+    /// # Errors
+    /// See [`Self::run`].
+    pub fn distance_matrix_sharded(
         &self,
-        method: MethodKind,
-        store: &GraphStore,
+        store: &ShardedStore,
     ) -> Result<DistanceMatrix, GedError> {
-        self.plan_matrix(method, PlanStore::Flat(store), Deadline::NONE)
+        self.plan_matrix(self.method, store.into(), Deadline::NONE)
+    }
+
+    /// GED self-join ([`GedQuery::SelfJoin`]): every unordered pair of
+    /// stored graphs (all `n·(n−1)/2`) whose **exact** GED is ≤ `tau`,
+    /// through the shared-work join plan of [`crate::plan`] — one
+    /// pivot-table arming serves every row, candidates stream in
+    /// signature-sort order so the size-difference bound prunes whole
+    /// contiguous bands, duplicate pairs verify once, and survivors run
+    /// the τ-bounded exact search in parallel under
+    /// [`Self::verify_budget`].
+    ///
+    /// Like [`Self::range_exact`], every tier is exact or admissible, so
+    /// the answer does not depend on the method (validated for dispatch
+    /// symmetry only) and is provably equal to a brute-force
+    /// [`crate::search::bounded_exact_ged`] nested loop. `tau` semantics
+    /// follow [`GedQuery::SelfJoin`].
+    ///
+    /// # Errors
+    /// [`GedError::Config`] if `tau` is NaN; otherwise see [`Self::run`].
+    pub fn self_join(&self, store: &GraphStore, tau: f64) -> Result<JoinResult, GedError> {
+        self.plan_self_join(self.method, store.into(), tau, Deadline::NONE)
+    }
+
+    /// [`Self::self_join`] over a [`ShardedStore`]: shard×shard blocks
+    /// whose aggregate bound ([`ged_graph::Shard::block_lower_bound`])
+    /// exceeds ⌊τ⌋ are discarded wholesale before any per-graph work;
+    /// surviving blocks run the same banded per-pair tiers as the flat
+    /// plan (the pivot tier serves same-shard pairs from each shard's own
+    /// block when [`ShardedStore::pivots_ready`] holds). With an
+    /// unlimited verify budget the matches are bit-identical to the flat
+    /// plan over the same graphs.
+    ///
+    /// # Errors
+    /// See [`Self::self_join`].
+    pub fn self_join_sharded(
+        &self,
+        store: &ShardedStore,
+        tau: f64,
+    ) -> Result<JoinResult, GedError> {
+        self.plan_self_join(self.method, store.into(), tau, Deadline::NONE)
+    }
+
+    /// GED cross-store join ([`GedQuery::Join`]): every `(a, b)` pair
+    /// (`a` from `left`, `b` from `right`, all `n·m`) whose **exact** GED
+    /// is ≤ `tau`, through the shared-work join plan of [`crate::plan`] —
+    /// the right store's pivot table is built once and armed once per
+    /// left row, both sides stream in signature-sort order so the
+    /// size-difference bound prunes contiguous bands, and structurally
+    /// identical pairs (including `left == right` symmetric duplicates,
+    /// via [`GedPair`]'s canonical orientation) verify once. Answer
+    /// semantics follow [`Self::self_join`].
+    ///
+    /// # Errors
+    /// [`GedError::Config`] if `tau` is NaN; otherwise see [`Self::run`].
+    pub fn join(
+        &self,
+        left: &GraphStore,
+        right: &GraphStore,
+        tau: f64,
+    ) -> Result<JoinResult, GedError> {
+        self.plan_join(self.method, left.into(), right.into(), tau, Deadline::NONE)
+    }
+
+    /// [`Self::join`] of a flat query batch (`left`) against a sharded
+    /// corpus (`right`): corpus shards whose aggregate block bound against
+    /// the batch exceeds ⌊τ⌋ are discarded wholesale, and each surviving
+    /// shard's pivot block serves its candidates (armed once per left
+    /// row per shard) when [`ShardedStore::pivots_ready`] holds. With an
+    /// unlimited verify budget the matches are bit-identical to the flat
+    /// join over the same graphs.
+    ///
+    /// # Errors
+    /// See [`Self::join`].
+    pub fn join_sharded(
+        &self,
+        left: &GraphStore,
+        right: &ShardedStore,
+        tau: f64,
+    ) -> Result<JoinResult, GedError> {
+        self.plan_join(self.method, left.into(), right.into(), tau, Deadline::NONE)
     }
 
     /// The matrix kernel shared by the flat and sharded plans: upper
@@ -1589,404 +1634,22 @@ impl GedEngine {
         crate::plan::VERIFY_BLOCK * self.runner.threads().max(1)
     }
 
-    // -- sharded-store plans ----------------------------------------------
-    //
-    // The same filter–verify plans, one tier taller: a per-shard
-    // aggregate lower bound ([`Shard::signature_lower_bound`] +
-    // [`Shard::pivot_lower_bound`]) discards whole shards before any
-    // per-graph metadata is read, surviving shards are visited in
-    // ascending-bound order, and per-shard results merge through a
-    // result set bounded at `k` (top-k) or filtered at τ (range).
-    // Every aggregate bound under-approximates the corresponding
-    // per-graph bound, so the answers are bit-identical to the flat
-    // plans over the same graphs (ged-testkit property-tests this).
-    //
-    // The pivot tier is all-or-nothing: shards own their pivot blocks
-    // (the engine cannot lazily sync a `&ShardedStore`), so plans use
-    // pivots only when [`ShardedStore::pivots_ready`] holds for the
-    // engine's target — call [`GedEngine::sync_sharded_pivots`] after
-    // mutations to keep the tier armed. Stale or absent blocks degrade
-    // to the (still exact) pivot-free plan, never to a wrong answer.
-
     /// Builds or incrementally syncs every shard's pivot block to this
     /// engine's [`GedEngineBuilder::pivots`] target, using the same
     /// bounded-exact oracle as the flat plans. Call after store mutations
     /// to (re)arm the sharded pivot tier; a no-op when the tier is
     /// disabled (the target is 0 clears the blocks) or nothing changed.
+    ///
+    /// The sharded pivot tier is all-or-nothing: shards own their pivot
+    /// blocks (the engine cannot lazily sync a `&ShardedStore`), so plans
+    /// use pivots only when [`ShardedStore::pivots_ready`] holds for the
+    /// engine's target. Stale or absent blocks degrade to the (still
+    /// exact) pivot-free plan, never to a wrong answer.
     pub fn sync_sharded_pivots(&self, store: &mut ShardedStore) {
         let mut ws = GedWorkspace::new();
         let mut oracle =
             |a: &Graph, b: &Graph| pivot_distance_in(a, b, self.verify_budget, &mut ws);
         store.sync_pivots(self.pivot_target, &mut oracle);
-    }
-
-    /// The triangle-inequality `[lb, ub]` bounds on the exact GED between
-    /// `query` and every graph of `store`, from the shards' own pivot
-    /// blocks — the sharded analogue of [`GedEngine::pivot_bounds`], and
-    /// what the `ged-testkit` oracles consume to mirror sharded plans
-    /// exactly. `None` unless every shard is synced at this engine's
-    /// pivot target (see [`ShardedStore::pivots_ready`]).
-    #[must_use]
-    pub fn sharded_pivot_bounds(
-        &self,
-        query: &Graph,
-        store: &ShardedStore,
-    ) -> Option<BTreeMap<GraphId, (usize, usize)>> {
-        if !store.pivots_ready(self.pivot_target) {
-            return None;
-        }
-        let mut ws = GedWorkspace::new();
-        let mut oracle =
-            |a: &Graph, b: &Graph| pivot_distance_in(a, b, self.verify_budget, &mut ws);
-        let mut out = BTreeMap::new();
-        for shard in store.shards() {
-            let index = shard.pivot_index().expect("pivots_ready");
-            let qdists = index.query_distances(shard.store(), query, &mut oracle);
-            for id in shard.store().ids() {
-                out.insert(id, index.bounds(&qdists, id).expect("index is synced"));
-            }
-        }
-        Some(out)
-    }
-
-    /// Ranks the `k` nearest stored graphs with the default method. The
-    /// sharded counterpart of [`GedEngine::top_k`]; see
-    /// [`GedEngine::top_k_sharded_as`].
-    ///
-    /// # Errors
-    /// See [`Self::top_k_sharded_as`].
-    pub fn top_k_sharded(
-        &self,
-        query: &Graph,
-        store: &ShardedStore,
-        k: usize,
-    ) -> Result<SearchResult, GedError> {
-        self.top_k_sharded_as(self.method, query, store, k)
-    }
-
-    /// The four-tier top-k plan over a [`ShardedStore`]: shards whose
-    /// aggregate bound exceeds the running k-th best are skipped wholesale
-    /// (`pruned_shard`); surviving shards run the flat per-graph plan and
-    /// merge into one result set bounded at `k`. Answers are bit-identical
-    /// to [`GedEngine::top_k_as`] over the same graphs.
-    ///
-    /// # Errors
-    /// See [`Self::top_k_as`].
-    pub fn top_k_sharded_as(
-        &self,
-        method: MethodKind,
-        query: &Graph,
-        store: &ShardedStore,
-        k: usize,
-    ) -> Result<SearchResult, GedError> {
-        self.plan_top_k(method, query, PlanStore::Sharded(store), k, Deadline::NONE)
-    }
-
-    /// Range search with the default method. The sharded counterpart of
-    /// [`GedEngine::range`]; see [`GedEngine::range_sharded_as`].
-    ///
-    /// # Errors
-    /// See [`Self::range_sharded_as`].
-    pub fn range_sharded(
-        &self,
-        query: &Graph,
-        store: &ShardedStore,
-        tau: f64,
-    ) -> Result<SearchResult, GedError> {
-        self.range_sharded_as(self.method, query, store, tau)
-    }
-
-    /// The four-tier range plan over a [`ShardedStore`]: shards whose
-    /// aggregate bound exceeds `tau` are skipped wholesale, survivors run
-    /// the flat per-graph plan. Answers are bit-identical to
-    /// [`GedEngine::range_as`] over the same graphs.
-    ///
-    /// # Errors
-    /// See [`Self::range_as`].
-    pub fn range_sharded_as(
-        &self,
-        method: MethodKind,
-        query: &Graph,
-        store: &ShardedStore,
-        tau: f64,
-    ) -> Result<SearchResult, GedError> {
-        self.plan_range(
-            method,
-            query,
-            PlanStore::Sharded(store),
-            tau,
-            Deadline::NONE,
-        )
-    }
-
-    /// Range search around the *stored* graph `id` of a [`ShardedStore`],
-    /// with the default method — the sharded counterpart of
-    /// [`Self::range_by_id`].
-    ///
-    /// # Errors
-    /// See [`Self::range_sharded_by_id_as`].
-    pub fn range_sharded_by_id(
-        &self,
-        store: &ShardedStore,
-        id: GraphId,
-        tau: f64,
-    ) -> Result<SearchResult, GedError> {
-        self.range_sharded_by_id_as(self.method, store, id, tau)
-    }
-
-    /// Range search around the stored graph `id` of a [`ShardedStore`]
-    /// with an explicit method.
-    ///
-    /// # Errors
-    /// [`GedError::UnknownGraphId`] if `id` is foreign to `store` or was
-    /// removed; otherwise see [`Self::range_sharded_as`].
-    pub fn range_sharded_by_id_as(
-        &self,
-        method: MethodKind,
-        store: &ShardedStore,
-        id: GraphId,
-        tau: f64,
-    ) -> Result<SearchResult, GedError> {
-        let query = resolve_sharded(store, id)?;
-        self.range_sharded_as(method, query, store, tau)
-    }
-
-    /// Exact range search with the default method. The sharded
-    /// counterpart of [`GedEngine::range_exact`]; see
-    /// [`GedEngine::range_exact_sharded_as`].
-    ///
-    /// # Errors
-    /// See [`Self::range_exact_sharded_as`].
-    pub fn range_exact_sharded(
-        &self,
-        query: &Graph,
-        store: &ShardedStore,
-        tau: f64,
-    ) -> Result<RangeExactResult, GedError> {
-        self.range_exact_sharded_as(self.method, query, store, tau)
-    }
-
-    /// The four-tier exact range plan over a [`ShardedStore`]: shard →
-    /// pivot → signature → verify. Shards whose aggregate bound exceeds
-    /// ⌊τ⌋ contribute their whole population to `pruned_shard`; survivors
-    /// run the flat per-graph tiers, and the cross-shard survivor set is
-    /// verified in one parallel batch in globally ascending id order —
-    /// the same order, outcomes, and matches as
-    /// [`GedEngine::range_exact_as`] over the same graphs.
-    /// [`ExactSearchStats::total`] still closes to the store size.
-    ///
-    /// # Errors
-    /// See [`Self::range_exact_as`].
-    pub fn range_exact_sharded_as(
-        &self,
-        method: MethodKind,
-        query: &Graph,
-        store: &ShardedStore,
-        tau: f64,
-    ) -> Result<RangeExactResult, GedError> {
-        self.plan_range_exact(
-            method,
-            query,
-            PlanStore::Sharded(store),
-            tau,
-            Deadline::NONE,
-        )
-    }
-
-    /// Pairwise distance matrix of a [`ShardedStore`] with the default
-    /// method. See [`Self::distance_matrix_sharded_as`].
-    ///
-    /// # Errors
-    /// See [`Self::query_as`].
-    pub fn distance_matrix_sharded(
-        &self,
-        store: &ShardedStore,
-    ) -> Result<DistanceMatrix, GedError> {
-        self.distance_matrix_sharded_as(self.method, store)
-    }
-
-    /// Pairwise distance matrix of a [`ShardedStore`]: the same kernel as
-    /// [`GedEngine::distance_matrix_as`] over the globally id-ordered
-    /// graph sequence, so the result is bit-identical to the flat matrix
-    /// of the same graphs. (No shard tier here — every pair must be
-    /// computed.)
-    ///
-    /// # Errors
-    /// See [`Self::query_as`].
-    pub fn distance_matrix_sharded_as(
-        &self,
-        method: MethodKind,
-        store: &ShardedStore,
-    ) -> Result<DistanceMatrix, GedError> {
-        self.plan_matrix(method, PlanStore::Sharded(store), Deadline::NONE)
-    }
-
-    // -- GED joins --------------------------------------------------------
-
-    /// GED self-join with the default method: every unordered pair of
-    /// stored graphs with exact GED ≤ `tau`. See [`Self::self_join_as`].
-    ///
-    /// # Errors
-    /// See [`Self::self_join_as`].
-    pub fn self_join(&self, store: &GraphStore, tau: f64) -> Result<JoinResult, GedError> {
-        self.self_join_as(self.method, store, tau)
-    }
-
-    /// GED self-join over a flat store: every unordered pair of stored
-    /// graphs (all `n·(n−1)/2`) whose **exact** GED is ≤ `tau`, through
-    /// the shared-work join plan of [`crate::plan`] — one pivot-table
-    /// arming serves every row, candidates stream in signature-sort
-    /// order so the size-difference bound prunes whole contiguous
-    /// bands, duplicate pairs verify once, and survivors run the
-    /// τ-bounded exact search in parallel under
-    /// [`Self::verify_budget`].
-    ///
-    /// Like [`Self::range_exact_as`], every tier is exact or
-    /// admissible, so the answer does not depend on `method` (validated
-    /// for dispatch symmetry only) and is provably equal to a
-    /// brute-force [`crate::search::bounded_exact_ged`] nested loop.
-    /// `tau` semantics follow [`GedQuery::SelfJoin`].
-    ///
-    /// # Errors
-    /// [`GedError::Config`] if `tau` is NaN; otherwise see
-    /// [`Self::query_as`].
-    pub fn self_join_as(
-        &self,
-        method: MethodKind,
-        store: &GraphStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        self.plan_self_join(method, PlanStore::Flat(store), tau, Deadline::NONE)
-    }
-
-    /// GED self-join of a [`ShardedStore`] with the default method. See
-    /// [`Self::self_join_sharded_as`].
-    ///
-    /// # Errors
-    /// See [`Self::self_join_sharded_as`].
-    pub fn self_join_sharded(
-        &self,
-        store: &ShardedStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        self.self_join_sharded_as(self.method, store, tau)
-    }
-
-    /// GED self-join of a [`ShardedStore`]: shard×shard blocks whose
-    /// aggregate bound ([`ged_graph::Shard::block_lower_bound`]) exceeds
-    /// ⌊τ⌋ are discarded wholesale before any per-graph work; surviving
-    /// blocks run the same banded per-pair tiers as the flat plan (the
-    /// pivot tier serves same-shard pairs from each shard's own block
-    /// when [`ShardedStore::pivots_ready`] holds). With an unlimited
-    /// verify budget the matches are bit-identical to
-    /// [`Self::self_join_as`] over the same graphs.
-    ///
-    /// # Errors
-    /// See [`Self::self_join_as`].
-    pub fn self_join_sharded_as(
-        &self,
-        method: MethodKind,
-        store: &ShardedStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        self.plan_self_join(method, PlanStore::Sharded(store), tau, Deadline::NONE)
-    }
-
-    /// GED cross-store join with the default method: every pair with
-    /// one graph from `left` and one from `right` and exact GED ≤
-    /// `tau`. See [`Self::join_as`].
-    ///
-    /// # Errors
-    /// See [`Self::join_as`].
-    pub fn join(
-        &self,
-        left: &GraphStore,
-        right: &GraphStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        self.join_as(self.method, left, right, tau)
-    }
-
-    /// GED cross-store join over two flat stores: every `(a, b)` pair
-    /// (`a` from `left`, `b` from `right`, all `n·m`) whose **exact**
-    /// GED is ≤ `tau`, through the shared-work join plan of
-    /// [`crate::plan`] — the right store's pivot table is built once
-    /// and armed once per left row, both sides stream in signature-sort
-    /// order so the size-difference bound prunes contiguous bands, and
-    /// structurally identical pairs (including `left == right`
-    /// symmetric duplicates, via [`GedPair`]'s canonical orientation)
-    /// verify once. Answer semantics follow [`Self::self_join_as`].
-    ///
-    /// # Errors
-    /// [`GedError::Config`] if `tau` is NaN; otherwise see
-    /// [`Self::query_as`].
-    pub fn join_as(
-        &self,
-        method: MethodKind,
-        left: &GraphStore,
-        right: &GraphStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        self.plan_join(
-            method,
-            PlanStore::Flat(left),
-            PlanStore::Flat(right),
-            tau,
-            Deadline::NONE,
-        )
-    }
-
-    /// GED join of a flat query batch against a sharded corpus, with
-    /// the default method. See [`Self::join_sharded_as`].
-    ///
-    /// # Errors
-    /// See [`Self::join_sharded_as`].
-    pub fn join_sharded(
-        &self,
-        left: &GraphStore,
-        right: &ShardedStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        self.join_sharded_as(self.method, left, right, tau)
-    }
-
-    /// GED join of a flat query batch (`left`) against a sharded corpus
-    /// (`right`): corpus shards whose aggregate block bound against the
-    /// batch exceeds ⌊τ⌋ are discarded wholesale, and each surviving
-    /// shard's pivot block serves its candidates (armed once per left
-    /// row per shard) when [`ShardedStore::pivots_ready`] holds. With
-    /// an unlimited verify budget the matches are bit-identical to
-    /// [`Self::join_as`] over the same graphs.
-    ///
-    /// # Errors
-    /// See [`Self::join_as`].
-    pub fn join_sharded_as(
-        &self,
-        method: MethodKind,
-        left: &GraphStore,
-        right: &ShardedStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        self.plan_join(
-            method,
-            PlanStore::Flat(left),
-            PlanStore::Sharded(right),
-            tau,
-            Deadline::NONE,
-        )
-    }
-
-    /// Binds a cooperative [`Deadline`] to this engine's store-level
-    /// queries: every call through the returned handle checks the
-    /// deadline between verification blocks and answers
-    /// [`GedError::DeadlineExceeded`] instead of running long past it.
-    /// `Deadline::NONE` recovers the plain methods exactly.
-    #[must_use]
-    pub fn with_deadline(&self, deadline: Deadline) -> DeadlineBound<'_> {
-        DeadlineBound {
-            engine: self,
-            deadline,
-        }
     }
 
     /// Predicts through the cache when one is configured. Predictions
@@ -2032,249 +1695,11 @@ impl GedEngine {
     }
 }
 
-/// A [`GedEngine`] handle with a cooperative [`Deadline`] bound to every
-/// store-level query (see [`GedEngine::with_deadline`]). All methods use
-/// the engine's default method and mirror the plain entry points
-/// exactly, except that execution stops with
-/// [`GedError::DeadlineExceeded`] at the first verification-block
-/// boundary past the deadline.
-#[derive(Clone, Copy)]
-pub struct DeadlineBound<'e> {
-    engine: &'e GedEngine,
-    deadline: Deadline,
-}
-
-impl DeadlineBound<'_> {
-    /// Deadline-checked [`GedEngine::top_k`].
-    ///
-    /// # Errors
-    /// [`GedError::DeadlineExceeded`] past the deadline; otherwise see
-    /// [`GedEngine::top_k_as`].
-    pub fn top_k(
-        &self,
-        query: &Graph,
-        store: &GraphStore,
-        k: usize,
-    ) -> Result<SearchResult, GedError> {
-        let e = self.engine;
-        e.plan_top_k(e.method, query, PlanStore::Flat(store), k, self.deadline)
-    }
-
-    /// Deadline-checked [`GedEngine::top_k_sharded`].
-    ///
-    /// # Errors
-    /// See [`Self::top_k`].
-    pub fn top_k_sharded(
-        &self,
-        query: &Graph,
-        store: &ShardedStore,
-        k: usize,
-    ) -> Result<SearchResult, GedError> {
-        let e = self.engine;
-        e.plan_top_k(e.method, query, PlanStore::Sharded(store), k, self.deadline)
-    }
-
-    /// Deadline-checked [`GedEngine::range`].
-    ///
-    /// # Errors
-    /// [`GedError::DeadlineExceeded`] past the deadline; otherwise see
-    /// [`GedEngine::range_as`].
-    pub fn range(
-        &self,
-        query: &Graph,
-        store: &GraphStore,
-        tau: f64,
-    ) -> Result<SearchResult, GedError> {
-        let e = self.engine;
-        e.plan_range(e.method, query, PlanStore::Flat(store), tau, self.deadline)
-    }
-
-    /// Deadline-checked [`GedEngine::range_sharded`].
-    ///
-    /// # Errors
-    /// See [`Self::range`].
-    pub fn range_sharded(
-        &self,
-        query: &Graph,
-        store: &ShardedStore,
-        tau: f64,
-    ) -> Result<SearchResult, GedError> {
-        let e = self.engine;
-        e.plan_range(
-            e.method,
-            query,
-            PlanStore::Sharded(store),
-            tau,
-            self.deadline,
-        )
-    }
-
-    /// Deadline-checked [`GedEngine::range_exact`].
-    ///
-    /// # Errors
-    /// [`GedError::DeadlineExceeded`] past the deadline; otherwise see
-    /// [`GedEngine::range_exact_as`].
-    pub fn range_exact(
-        &self,
-        query: &Graph,
-        store: &GraphStore,
-        tau: f64,
-    ) -> Result<RangeExactResult, GedError> {
-        let e = self.engine;
-        e.plan_range_exact(e.method, query, PlanStore::Flat(store), tau, self.deadline)
-    }
-
-    /// Deadline-checked [`GedEngine::range_exact_sharded`].
-    ///
-    /// # Errors
-    /// See [`Self::range_exact`].
-    pub fn range_exact_sharded(
-        &self,
-        query: &Graph,
-        store: &ShardedStore,
-        tau: f64,
-    ) -> Result<RangeExactResult, GedError> {
-        let e = self.engine;
-        e.plan_range_exact(
-            e.method,
-            query,
-            PlanStore::Sharded(store),
-            tau,
-            self.deadline,
-        )
-    }
-
-    /// Deadline-checked [`GedEngine::distance_matrix`].
-    ///
-    /// # Errors
-    /// [`GedError::DeadlineExceeded`] past the deadline; otherwise see
-    /// [`GedEngine::distance_matrix_as`].
-    pub fn distance_matrix(&self, store: &GraphStore) -> Result<DistanceMatrix, GedError> {
-        let e = self.engine;
-        e.plan_matrix(e.method, PlanStore::Flat(store), self.deadline)
-    }
-
-    /// Deadline-checked [`GedEngine::distance_matrix_sharded`].
-    ///
-    /// # Errors
-    /// See [`Self::distance_matrix`].
-    pub fn distance_matrix_sharded(
-        &self,
-        store: &ShardedStore,
-    ) -> Result<DistanceMatrix, GedError> {
-        let e = self.engine;
-        e.plan_matrix(e.method, PlanStore::Sharded(store), self.deadline)
-    }
-
-    /// Deadline-checked [`GedEngine::self_join`].
-    ///
-    /// # Errors
-    /// [`GedError::DeadlineExceeded`] past the deadline; otherwise see
-    /// [`GedEngine::self_join_as`].
-    pub fn self_join(&self, store: &GraphStore, tau: f64) -> Result<JoinResult, GedError> {
-        let e = self.engine;
-        e.plan_self_join(e.method, PlanStore::Flat(store), tau, self.deadline)
-    }
-
-    /// Deadline-checked [`GedEngine::self_join_sharded`].
-    ///
-    /// # Errors
-    /// See [`Self::self_join`].
-    pub fn self_join_sharded(
-        &self,
-        store: &ShardedStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        let e = self.engine;
-        e.plan_self_join(e.method, PlanStore::Sharded(store), tau, self.deadline)
-    }
-
-    /// Deadline-checked [`GedEngine::join`].
-    ///
-    /// # Errors
-    /// [`GedError::DeadlineExceeded`] past the deadline; otherwise see
-    /// [`GedEngine::join_as`].
-    pub fn join(
-        &self,
-        left: &GraphStore,
-        right: &GraphStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        let e = self.engine;
-        e.plan_join(
-            e.method,
-            PlanStore::Flat(left),
-            PlanStore::Flat(right),
-            tau,
-            self.deadline,
-        )
-    }
-
-    /// Deadline-checked [`GedEngine::join_sharded`].
-    ///
-    /// # Errors
-    /// See [`Self::join`].
-    pub fn join_sharded(
-        &self,
-        left: &GraphStore,
-        right: &ShardedStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        let e = self.engine;
-        e.plan_join(
-            e.method,
-            PlanStore::Flat(left),
-            PlanStore::Sharded(right),
-            tau,
-            self.deadline,
-        )
-    }
-}
-
-/// Resolves `id` in `store`, surfacing a typed error instead of a panic.
-fn resolve(store: &GraphStore, id: GraphId) -> Result<&Graph, GedError> {
-    store.get(id).ok_or(GedError::UnknownGraphId(id))
-}
-
-/// Resolves `id` in a [`ShardedStore`] — the sharded analogue of
-/// [`resolve`].
-fn resolve_sharded(store: &ShardedStore, id: GraphId) -> Result<&Graph, GedError> {
-    store.get(id).ok_or(GedError::UnknownGraphId(id))
-}
-
-/// Rejects empty stores and stores containing node-less graphs. Reads
-/// only the precomputed signatures, so validation never touches a graph.
-pub(crate) fn ensure_store_valid(store: &GraphStore) -> Result<(), GedError> {
-    if store.is_empty() {
-        return Err(GedError::EmptyStore);
-    }
-    for (id, _, sig) in store.entries() {
-        if sig.num_nodes() == 0 {
-            return Err(GedError::EmptyGraph(format!("store graph {id}")));
-        }
-    }
-    Ok(())
-}
-
 /// Rejects node-less graphs with a [`GedError::EmptyGraph`] naming the
 /// offending input.
 pub(crate) fn ensure_nonempty(g: &Graph, which: &str) -> Result<(), GedError> {
     if g.num_nodes() == 0 {
         return Err(GedError::EmptyGraph(which.to_string()));
-    }
-    Ok(())
-}
-
-/// Rejects empty sharded stores and stores containing node-less graphs —
-/// the same contract (and error messages) as [`ensure_store_valid`].
-pub(crate) fn ensure_sharded_store_valid(store: &ShardedStore) -> Result<(), GedError> {
-    if store.is_empty() {
-        return Err(GedError::EmptyStore);
-    }
-    for (id, _, sig) in store.entries() {
-        if sig.num_nodes() == 0 {
-            return Err(GedError::EmptyGraph(format!("store graph {id}")));
-        }
     }
     Ok(())
 }
@@ -2367,17 +1792,6 @@ mod tests {
             GedError::Config(
                 "verify budget must be at least 1 (usize::MAX = unlimited)".to_string()
             )
-        );
-
-        let mut registry = SolverRegistry::new();
-        registry.register(MethodKind::Gedgw, Box::new(GedgwSolver));
-        let err = GedEngine::builder(registry)
-            .default_tau(f64::NAN)
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            GedError::Config("default range threshold must not be NaN".to_string())
         );
     }
 
@@ -2527,7 +1941,7 @@ mod tests {
         let result = engine
             .query(GedQuery::Range {
                 query: &query,
-                store: &ds,
+                store: (&ds).into(),
                 tau,
             })
             .unwrap()
@@ -2598,7 +2012,7 @@ mod tests {
             let result = engine
                 .query(GedQuery::RangeExact {
                     query: &query,
-                    store: &ds,
+                    store: (&ds).into(),
                     tau,
                 })
                 .unwrap()
@@ -2656,25 +2070,29 @@ mod tests {
         let query = ds[ids[0]].clone();
 
         // Exact search consults no solver: every method gives the answer.
-        let a = engine
-            .range_exact_as(MethodKind::Gedgw, &query, &ds, 4.0)
-            .unwrap();
-        let b = engine
-            .range_exact_as(MethodKind::Gedhot, &query, &ds, 4.0)
-            .unwrap();
+        let exact_as = |method, query| {
+            let q = GedQuery::RangeExact {
+                query,
+                store: (&ds).into(),
+                tau: 4.0,
+            };
+            engine.query_as(method, q).map(|r| r.into_range_exact())
+        };
+        let a = exact_as(MethodKind::Gedgw, &query).unwrap();
+        let b = exact_as(MethodKind::Gedhot, &query).unwrap();
         assert_eq!(a, b, "exact answers cannot depend on the method");
         // ... but an unregistered method still errors, like every query.
-        let err = engine
-            .range_exact_as(MethodKind::Classic, &query, &ds, 4.0)
-            .unwrap_err();
+        let err = exact_as(MethodKind::Classic, &query).unwrap_err();
         assert_eq!(err, GedError::MethodNotRegistered(MethodKind::Classic));
 
-        let by_id = engine.range_exact_by_id(&ds, ids[0], 4.0).unwrap();
+        let store = StoreRef::from(&ds);
+        let by_id = exact_as(MethodKind::Gedgw, store.get(ids[0]).unwrap()).unwrap();
         assert_eq!(by_id, a, "by-id resolves to the same query");
+        let by_id = by_id.unwrap();
         assert!(by_id.matches.iter().any(|m| m.id == ids[0] && m.ged == 0));
 
         let foreign = small_dataset(1, 59).ids()[0];
-        let err = engine.range_exact_by_id(&ds, foreign, 4.0).unwrap_err();
+        let err = store.get(foreign).unwrap_err();
         assert_eq!(err, GedError::UnknownGraphId(foreign));
     }
 
@@ -2856,26 +2274,41 @@ mod tests {
         let engine = gedgw_engine();
         let ds = small_dataset(6, 5);
         let ids = ds.ids();
-
+        let mut sharded = ShardedStore::new(2);
+        let sharded_ids: Vec<GraphId> = ds.graphs().map(|g| sharded.insert(g.clone())).collect();
         let direct = engine.ged(&ds[ids[0]], &ds[ids[1]]).unwrap();
-        let by_id = engine.ged_by_ids(&ds, ids[0], ids[1]).unwrap();
-        assert_eq!(direct, by_id);
 
-        let result = engine.top_k_by_id(&ds, ids[2], 3).unwrap();
-        assert_eq!(result.neighbors[0].id, ids[2], "self-distance ranks first");
+        for (store, ids) in [
+            (StoreRef::from(&ds), &ids),
+            (StoreRef::from(&sharded), &sharded_ids),
+        ] {
+            let by_id = engine
+                .ged(store.get(ids[0]).unwrap(), store.get(ids[1]).unwrap())
+                .unwrap();
+            assert_eq!(direct, by_id);
 
-        // A foreign id comes from another store entirely.
-        let foreign = small_dataset(2, 6).ids()[0];
-        let err = engine.ged_by_ids(&ds, foreign, ids[1]).unwrap_err();
-        assert_eq!(err, GedError::UnknownGraphId(foreign));
-        let err = engine.top_k_by_id(&ds, foreign, 2).unwrap_err();
-        assert_eq!(err, GedError::UnknownGraphId(foreign));
+            let query = GedQuery::TopK {
+                query: store.get(ids[2]).unwrap(),
+                store,
+                k: 3,
+            };
+            let result = engine.query(query).unwrap().into_top_k().unwrap();
+            assert_eq!(result.neighbors[0].id, ids[2], "self-distance ranks first");
 
-        // A removed id stops resolving.
+            // A foreign id comes from another store entirely.
+            let foreign = small_dataset(2, 6).ids()[0];
+            let err = store.get(foreign).unwrap_err();
+            assert_eq!(err, GedError::UnknownGraphId(foreign));
+        }
+
+        // A removed id stops resolving, in either store kind.
         let mut ds = ds;
         ds.remove(ids[3]);
-        let err = engine.top_k_by_id(&ds, ids[3], 2).unwrap_err();
+        sharded.remove(sharded_ids[3]);
+        let err = StoreRef::from(&ds).get(ids[3]).unwrap_err();
         assert_eq!(err, GedError::UnknownGraphId(ids[3]));
+        let err = StoreRef::from(&sharded).get(sharded_ids[3]).unwrap_err();
+        assert_eq!(err, GedError::UnknownGraphId(sharded_ids[3]));
     }
 
     #[test]
@@ -2931,7 +2364,7 @@ mod tests {
             .collect();
         let queries: Vec<GedQuery<'_>> =
             pairs.iter().map(|pair| GedQuery::Value { pair }).collect();
-        let batch = engine.query_batch(&queries);
+        let batch = engine.query_batch_as(engine.method(), &queries);
         assert_eq!(batch.len(), pairs.len());
         for (res, pair) in batch.into_iter().zip(&pairs) {
             let got = res.unwrap().into_value().unwrap();

@@ -23,11 +23,13 @@
 //! * [`method`] — [`method::MethodKind`], the typed method identifier
 //!   (registry key, CLI-parsable via `FromStr`).
 //! * [`engine`] — the [`engine::GedEngine`] typed request/response query
-//!   API ([`engine::GedQuery`] in, [`engine::GedResponse`] out) with
-//!   method selection, filter–verify top-k and range similarity search
-//!   over [`ged_graph::GraphStore`]s, pairwise matrices, dataset-scale
-//!   GED joins (self-join and cross-store join), and cooperative
-//!   query deadlines ([`engine::Deadline`]).
+//!   API: one entry point, [`engine::GedEngine::run`], takes a
+//!   [`engine::GedQuery`] and [`engine::QueryOptions`] (method override,
+//!   cooperative [`engine::Deadline`]) and answers a
+//!   [`engine::GedResponse`]. Store-level queries — filter–verify top-k
+//!   and range similarity search, pairwise matrices, and dataset-scale
+//!   GED joins — read either store kind through an
+//!   [`engine::StoreRef`].
 //! * [`plan`] — the unified tiered query pipeline every store-level plan
 //!   (flat and sharded) runs through, plus the adaptive, stats-driven
 //!   [`plan::QueryPlanner`] whose decisions are provably
@@ -54,9 +56,9 @@ pub mod workspace;
 
 pub use edge_labeled::{gedgw_edge_labeled, EdgeLabeledGraph};
 pub use engine::{
-    Deadline, DeadlineBound, DistanceMatrix, ExactNeighbor, GedEngine, GedEngineBuilder, GedQuery,
-    GedResponse, JoinPair, JoinResult, Neighbor, RangeExactResult, SearchResult, SearchStats,
-    UndecidedCandidate, UndecidedPair,
+    Deadline, DistanceMatrix, ExactNeighbor, GedEngine, GedEngineBuilder, GedQuery, GedResponse,
+    JoinPair, JoinResult, Neighbor, QueryOptions, RangeExactResult, SearchResult, SearchStats,
+    StoreRef, UndecidedCandidate, UndecidedPair,
 };
 pub use ensemble::{Gedhot, GedhotPrediction};
 pub use error::GedError;
@@ -74,8 +76,7 @@ pub use search::{
     bounded_exact_ged, bounded_exact_ged_with_budget, bounded_exact_ged_with_budget_in,
     exact_search_in, fast_upper_bound, fast_upper_bound_in, pivot_distance, pivot_distance_in,
     prune_or_verify, prune_or_verify_in, prune_or_verify_with_pivot, prune_or_verify_with_pivot_in,
-    similarity_search, similarity_search_in, BoundedSearch, CandidateOutcome, ExactSearch,
-    ExactSearchStats, JoinStats, Verdict,
+    BoundedSearch, CandidateOutcome, ExactSearch, ExactSearchStats, JoinStats,
 };
 pub use solver::{
     BatchRunner, GedEstimate, GedSolver, GedgwSolver, GedhotSolver, GediotSolver, PathEstimate,

@@ -1,14 +1,13 @@
 //! The unified tiered query pipeline and the adaptive query planner.
 //!
 //! Every store-level plan of [`GedEngine`] — top-k, range, exact range,
-//! and matrix, over flat [`GraphStore`]s and [`ShardedStore`]s alike —
-//! runs through the **one** candidate pipeline of this module. A flat
-//! store is simply the one-shard special case: both store kinds are
-//! decomposed into `ShardUnit`s (a flat store yields a single unit with
-//! aggregate lower bound 0, so its shard tier can never fire), and from
-//! there the per-shape plan bodies are shared verbatim. The previous
-//! eight hand-rolled plan implementations in `engine.rs` collapse into
-//! the four `plan_*` functions here.
+//! matrix and the joins, over flat [`GraphStore`]s and [`ShardedStore`]s
+//! alike (both reach a plan as a [`StoreRef`]) — runs through the
+//! **one** candidate pipeline of this module. A flat store is simply the
+//! one-shard special case: both store kinds are decomposed into
+//! `ShardUnit`s (a flat store yields a single unit with aggregate lower
+//! bound 0, so its shard tier can never fire), and from there the
+//! per-shape plan bodies are shared verbatim.
 //!
 //! # Filter tiers
 //!
@@ -67,11 +66,12 @@
 //! [`GedEngineBuilder::adaptive_planner`]: crate::engine::GedEngineBuilder::adaptive_planner
 //! [`GedEngineBuilder::verify_budget`]: crate::engine::GedEngineBuilder::verify_budget
 //! [`PivotIndex::query_cost`]: ged_graph::PivotIndex::query_cost
+//! [`ShardedStore`]: ged_graph::ShardedStore
 
 use crate::engine::{
-    ensure_nonempty, ensure_sharded_store_valid, ensure_store_valid, Deadline, DistanceMatrix,
-    ExactNeighbor, GedEngine, JoinPair, JoinResult, Neighbor, RangeExactResult, SearchResult,
-    SearchStats, UndecidedCandidate, UndecidedPair,
+    ensure_nonempty, Deadline, DistanceMatrix, ExactNeighbor, GedEngine, JoinPair, JoinResult,
+    Neighbor, RangeExactResult, SearchResult, SearchStats, StoreRef, UndecidedCandidate,
+    UndecidedPair,
 };
 use crate::error::GedError;
 use crate::lower_bound::{degree_sequence_lower_bound_sig, label_set_lower_bound_sig};
@@ -84,7 +84,6 @@ use crate::solver::{GedSolver, SolverScratch};
 use crate::workspace::GedWorkspace;
 use ged_graph::{
     range_distance, Graph, GraphId, GraphSignature, GraphStore, PivotDistance, PivotIndex, Shard,
-    ShardedStore,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -727,46 +726,6 @@ fn filter_self_block<'s>(
     }
 }
 
-/// Either store kind, as the plans see it. Flat stores become the
-/// one-shard special case of sharded ones in [`GedEngine::shard_units`].
-#[derive(Clone, Copy)]
-pub(crate) enum PlanStore<'a> {
-    Flat(&'a GraphStore),
-    Sharded(&'a ShardedStore),
-}
-
-impl<'a> PlanStore<'a> {
-    fn len(self) -> usize {
-        match self {
-            PlanStore::Flat(s) => s.len(),
-            PlanStore::Sharded(s) => s.len(),
-        }
-    }
-
-    fn graph(self, id: GraphId) -> Option<&'a Graph> {
-        match self {
-            PlanStore::Flat(s) => s.get(id),
-            PlanStore::Sharded(s) => s.get(id),
-        }
-    }
-
-    fn validate(self) -> Result<(), GedError> {
-        match self {
-            PlanStore::Flat(s) => ensure_store_valid(s),
-            PlanStore::Sharded(s) => ensure_sharded_store_valid(s),
-        }
-    }
-
-    /// Every graph in globally ascending id order (the matrix kernel's
-    /// input order).
-    fn graphs(self) -> Vec<(GraphId, &'a Graph)> {
-        match self {
-            PlanStore::Flat(s) => s.iter().collect(),
-            PlanStore::Sharded(s) => s.iter().collect(),
-        }
-    }
-}
-
 /// The per-unit pivot state: a flat store's engine-cached bounds map, or
 /// a shard's own pivot block plus this query's distances to it. `None`
 /// payloads mean the tier is disabled/un-armed and bounds are vacuous.
@@ -1001,11 +960,11 @@ impl GedEngine {
         &self,
         query: &Graph,
         qsig: &GraphSignature,
-        store: PlanStore<'s>,
+        store: StoreRef<'s>,
         arm_pivots: bool,
     ) -> Vec<ShardUnit<'s>> {
         match store {
-            PlanStore::Flat(flat) => {
+            StoreRef::Flat(flat) => {
                 let pivot = if arm_pivots {
                     self.pivot_bounds(query, flat)
                 } else {
@@ -1018,7 +977,7 @@ impl GedEngine {
                     pivot: UnitPivot::Flat(pivot),
                 }]
             }
-            PlanStore::Sharded(sharded) => {
+            StoreRef::Sharded(sharded) => {
                 let pivots_on = arm_pivots && sharded.pivots_ready(self.pivot_target);
                 let mut ws = GedWorkspace::new();
                 let mut oracle =
@@ -1054,10 +1013,10 @@ impl GedEngine {
     /// summed over the store's pivot blocks (the flat store's engine-side
     /// index is deliberately not synced here — syncing is the cost being
     /// skipped — so its target stands in for its size).
-    fn pivot_arm_cost(&self, store: PlanStore<'_>) -> u64 {
+    fn pivot_arm_cost(&self, store: StoreRef<'_>) -> u64 {
         match store {
-            PlanStore::Flat(flat) => self.pivot_target.min(flat.len()) as u64,
-            PlanStore::Sharded(sharded) => {
+            StoreRef::Flat(flat) => self.pivot_target.min(flat.len()) as u64,
+            StoreRef::Sharded(sharded) => {
                 sharded.shards().map(|s| s.pivot_query_cost() as u64).sum()
             }
         }
@@ -1071,7 +1030,7 @@ impl GedEngine {
         &self,
         method: MethodKind,
         query: &Graph,
-        store: PlanStore<'_>,
+        store: StoreRef<'_>,
         k: usize,
         deadline: Deadline,
     ) -> Result<SearchResult, GedError> {
@@ -1182,7 +1141,7 @@ impl GedEngine {
         &self,
         method: MethodKind,
         query: &Graph,
-        store: PlanStore<'_>,
+        store: StoreRef<'_>,
         tau: f64,
         deadline: Deadline,
     ) -> Result<SearchResult, GedError> {
@@ -1294,7 +1253,7 @@ impl GedEngine {
         &self,
         method: MethodKind,
         query: &Graph,
-        store: PlanStore<'_>,
+        store: StoreRef<'_>,
         tau: f64,
         deadline: Deadline,
     ) -> Result<RangeExactResult, GedError> {
@@ -1399,9 +1358,7 @@ impl GedEngine {
             if let Some(ged) = s.collapsed_ged {
                 return CandidateOutcome::AcceptedByPivot { ged };
             }
-            let cand = store
-                .graph(s.id)
-                .expect("survivor ids come from this store");
+            let cand = store.get(s.id).expect("survivor ids come from this store");
             prune_or_verify_with_pivot_in(query, cand, tau, self.verify_budget, s.certificate, ws)
         };
         let outcomes = if deadline.is_set() {
@@ -1466,7 +1423,7 @@ impl GedEngine {
     pub(crate) fn plan_matrix(
         &self,
         method: MethodKind,
-        store: PlanStore<'_>,
+        store: StoreRef<'_>,
         deadline: Deadline,
     ) -> Result<DistanceMatrix, GedError> {
         let solver = self.solver(method)?;
@@ -1481,9 +1438,9 @@ impl GedEngine {
     /// with the shard's maintained aggregates. `arm_pivots: false`
     /// (planner, or the left side of a cross-store join) disables the
     /// pivot tier entirely: no index syncing, no member/query bounds.
-    fn join_units<'s>(&self, store: PlanStore<'s>, arm_pivots: bool) -> Vec<JoinUnit<'s>> {
+    fn join_units<'s>(&self, store: StoreRef<'s>, arm_pivots: bool) -> Vec<JoinUnit<'s>> {
         match store {
-            PlanStore::Flat(flat) => {
+            StoreRef::Flat(flat) => {
                 let entries = flat.entries_by_size();
                 let mut nodes = (usize::MAX, 0);
                 let mut edges = (usize::MAX, 0);
@@ -1505,7 +1462,7 @@ impl GedEngine {
                     entries,
                 }]
             }
-            PlanStore::Sharded(sharded) => {
+            StoreRef::Sharded(sharded) => {
                 let pivots_on = arm_pivots && sharded.pivots_ready(self.pivot_target);
                 sharded
                     .shards()
@@ -1610,7 +1567,7 @@ impl GedEngine {
     pub(crate) fn plan_self_join(
         &self,
         method: MethodKind,
-        store: PlanStore<'_>,
+        store: StoreRef<'_>,
         tau: f64,
         deadline: Deadline,
     ) -> Result<JoinResult, GedError> {
@@ -1708,8 +1665,8 @@ impl GedEngine {
     pub(crate) fn plan_join<'s>(
         &self,
         method: MethodKind,
-        left: PlanStore<'s>,
-        right: PlanStore<'s>,
+        left: StoreRef<'s>,
+        right: StoreRef<'s>,
         tau: f64,
         deadline: Deadline,
     ) -> Result<JoinResult, GedError> {

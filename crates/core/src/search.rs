@@ -20,17 +20,13 @@
 //! The tiers are exposed individually — [`label_set_lower_bound`] /
 //! [`degree_sequence_lower_bound`] (re-exported from
 //! [`crate::lower_bound`]), [`fast_upper_bound`], and
-//! [`bounded_exact_ged_with_budget`] — and composed twice:
-//!
-//! * [`similarity_search`] — the per-pair, slice-of-graphs form. Its
-//!   [`Verdict`]s accept by upper bound *without* any exact search, so
-//!   accepted candidates report a feasible bound, not an exact distance.
-//! * [`prune_or_verify`] — the per-candidate form the store-level
-//!   [`crate::engine::GedQuery::RangeExact`] plan runs after its
-//!   signature-fed filter tier. Its [`CandidateOutcome`]s always carry
-//!   exact distances: an upper-bound accept decides *membership* without
-//!   τ-bounded search, then recovers the exact distance with a search
-//!   bounded by the (tighter) feasible bound itself.
+//! [`bounded_exact_ged_with_budget`] — and composed once, per candidate,
+//! by [`prune_or_verify`]: the unit the store-level
+//! [`crate::engine::GedQuery::RangeExact`] plan (and the joins) run after
+//! their signature-fed filter tier. Its [`CandidateOutcome`]s always
+//! carry exact distances: an upper-bound accept decides *membership*
+//! without τ-bounded search, then recovers the exact distance with a
+//! search bounded by the (tighter) feasible bound itself.
 //!
 //! # The exact A\* core
 //!
@@ -86,28 +82,6 @@ use ged_linalg::lsap_min_in;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-
-/// Outcome of one candidate in a similarity search.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Verdict {
-    /// Discarded by a lower bound (`bound > τ` proves `GED > τ`).
-    FilteredOut {
-        /// The lower bound that exceeded the threshold.
-        bound: usize,
-    },
-    /// Accepted by an upper bound without exact verification.
-    AcceptedByUpperBound {
-        /// The feasible upper bound (`≤ τ`).
-        bound: usize,
-    },
-    /// Exact verification concluded `GED ≤ τ`.
-    VerifiedMatch {
-        /// The exact GED.
-        ged: usize,
-    },
-    /// Exact verification concluded `GED > τ`.
-    VerifiedNonMatch,
-}
 
 /// Statistics of the τ-exact filter–prune–verify pipeline (how much work
 /// each stage saved). Every candidate lands in exactly one tier, so
@@ -683,8 +657,8 @@ pub fn fast_upper_bound_in(g1: &Graph, g2: &Graph, ws: &mut GedWorkspace) -> usi
 }
 
 /// Outcome of one candidate in the store-level exact pipeline
-/// ([`prune_or_verify`]): unlike [`Verdict`], matching outcomes always
-/// carry the **exact** GED.
+/// ([`prune_or_verify`]): matching outcomes always carry the **exact**
+/// GED.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CandidateOutcome {
     /// The pivot-table upper bound proved membership (`ub_pivot ≤ τ`)
@@ -849,59 +823,6 @@ pub fn pivot_distance_in(
     }
 }
 
-/// Runs the filter–prune–verify pipeline over a database. Returns the
-/// per-candidate verdicts (indexed like `database`) and stage statistics.
-/// Upper-bound accepts carry the feasible bound, not an exact distance —
-/// see [`prune_or_verify`] for the exact-distance form the engine's
-/// store-level [`crate::engine::GedQuery::RangeExact`] uses.
-///
-/// One [`GedWorkspace`] is reused across the whole scan; loops issuing
-/// many scans should hold their own and call [`similarity_search_in`].
-pub fn similarity_search(
-    database: &[Graph],
-    query: &Graph,
-    tau: usize,
-) -> (Vec<Verdict>, ExactSearchStats) {
-    similarity_search_in(database, query, tau, &mut GedWorkspace::new())
-}
-
-/// [`similarity_search`] with the GEDGW upper-bound and τ-bounded-search
-/// scratch drawn from `ws`. Bit-identical to the allocating version for
-/// any (possibly dirty) workspace.
-pub fn similarity_search_in(
-    database: &[Graph],
-    query: &Graph,
-    tau: usize,
-    ws: &mut GedWorkspace,
-) -> (Vec<Verdict>, ExactSearchStats) {
-    let mut stats = ExactSearchStats::default();
-    let verdicts = database
-        .iter()
-        .map(|cand| {
-            let lb =
-                label_set_lower_bound(query, cand).max(degree_sequence_lower_bound(query, cand));
-            if lb > tau {
-                stats.filtered += 1;
-                return Verdict::FilteredOut { bound: lb };
-            }
-            let ub = fast_upper_bound_in(query, cand, ws);
-            if ub <= tau {
-                stats.accepted_early += 1;
-                return Verdict::AcceptedByUpperBound { bound: ub };
-            }
-            stats.verified += 1;
-            match bounded_exact_ged_with_budget_in(query, cand, tau, usize::MAX, ws) {
-                BoundedSearch::Within(ged) => Verdict::VerifiedMatch { ged },
-                // A `usize::MAX` expansion budget can never actually exhaust.
-                BoundedSearch::Exceeds | BoundedSearch::BudgetExhausted => {
-                    Verdict::VerifiedNonMatch
-                }
-            }
-        })
-        .collect();
-    (verdicts, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -936,32 +857,6 @@ mod tests {
             let g1 = generate::random_connected(5, 1, &[0.5, 0.5], &mut rng);
             let g2 = generate::random_connected(6, 2, &[0.5, 0.5], &mut rng);
             assert!(fast_upper_bound(&g1, &g2) >= exact(&g1, &g2));
-        }
-    }
-
-    #[test]
-    fn search_agrees_with_exhaustive_verification() {
-        let mut rng = SmallRng::seed_from_u64(203);
-        let db: Vec<Graph> = (0..20)
-            .map(|_| {
-                generate::random_connected(rng.gen_range(4..=7), 1, &[0.5, 0.3, 0.2], &mut rng)
-            })
-            .collect();
-        let query = generate::random_connected(5, 1, &[0.5, 0.3, 0.2], &mut rng);
-        for tau in [1usize, 3, 5, 8] {
-            let (verdicts, stats) = similarity_search(&db, &query, tau);
-            assert_eq!(
-                stats.filtered + stats.accepted_early + stats.verified,
-                db.len()
-            );
-            for (cand, verdict) in db.iter().zip(&verdicts) {
-                let truth = exact(&query, cand) <= tau;
-                let claimed = matches!(
-                    verdict,
-                    Verdict::AcceptedByUpperBound { .. } | Verdict::VerifiedMatch { .. }
-                );
-                assert_eq!(claimed, truth, "tau={tau}: verdict {verdict:?}");
-            }
         }
     }
 
@@ -1149,21 +1044,5 @@ mod tests {
                 }
             );
         }
-    }
-
-    #[test]
-    fn filtering_saves_work_for_tight_thresholds() {
-        let mut rng = SmallRng::seed_from_u64(204);
-        // Query with a distinctive label multiset vs a varied database.
-        let db: Vec<Graph> = (0..30)
-            .map(|_| generate::random_connected(rng.gen_range(4..=9), 2, &[0.2; 5], &mut rng))
-            .collect();
-        let query = generate::random_connected(5, 1, &[0.2; 5], &mut rng);
-        let (_, tight) = similarity_search(&db, &query, 1);
-        let (_, loose) = similarity_search(&db, &query, 12);
-        assert!(
-            tight.filtered > loose.filtered,
-            "tight {tight:?} loose {loose:?}"
-        );
     }
 }

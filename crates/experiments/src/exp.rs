@@ -9,7 +9,7 @@ use crate::harness::{
 use ged_baselines::astar::{astar_beam, astar_exact_with_limit};
 use ged_baselines::classic::classic_ged;
 use ged_baselines::gedgnn::{Gedgnn, GedgnnConfig};
-use ged_core::engine::GedEngine;
+use ged_core::engine::{GedEngine, GedQuery};
 use ged_core::ensemble::{Gedhot, Source};
 use ged_core::gedgw::Gedgw;
 use ged_core::gediot::{ConvKind, Gediot, GediotConfig};
@@ -23,6 +23,17 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 const DATASETS: [DatasetKind; 3] = [DatasetKind::Aids, DatasetKind::Linux, DatasetKind::Imdb];
+
+/// One value prediction with an explicit method (the experiment engines
+/// register every method).
+fn predict_with(engine: &GedEngine, method: MethodKind, pair: &GedPair) -> f64 {
+    engine
+        .query_as(method, GedQuery::Value { pair })
+        .expect("full registry")
+        .into_value()
+        .expect("a Value query answers Value")
+        .ged
+}
 
 /// Table 2: dataset statistics.
 #[must_use]
@@ -274,7 +285,7 @@ pub fn run_fig8(cfg: &ExpConfig) -> String {
         let mut outcomes = Vec::new();
         for group in &prep_small.test_groups {
             for pair in group {
-                let pred = engine.predict_as(method, pair).expect("full registry").ged;
+                let pred = predict_with(engine, method, pair);
                 outcomes.push(PairOutcome {
                     pred,
                     gt: pair.ged.expect("supervised"),
@@ -344,7 +355,7 @@ pub fn run_fig12(cfg: &ExpConfig) -> String {
             let outcomes: Vec<PairOutcome> = pairs
                 .iter()
                 .map(|pair| PairOutcome {
-                    pred: engine.predict_as(method, pair).expect("full registry").ged,
+                    pred: predict_with(&engine, method, pair),
                     gt: pair.ged.expect("supervised"),
                 })
                 .collect();
@@ -444,7 +455,7 @@ pub fn run_fig14(cfg: &ExpConfig) -> String {
                 let b = &prep.dataset[idx[(t + 1) % idx.len()]];
                 let c = &prep.dataset[idx[(t + 2) % idx.len()]];
                 let value = |x: &ged_graph::Graph, y: &ged_graph::Graph| -> f64 {
-                    engine.ged_as(method, x, y).expect("full registry").ged
+                    predict_with(&engine, method, &GedPair::new(x.clone(), y.clone()))
                 };
                 let ab = value(a, b);
                 let bc = value(b, c);

@@ -615,7 +615,8 @@ mod tests {
         // And the path-capable subset is exactly Table 4.
         let pair = &prep.test_groups[0][0];
         for m in MethodKind::table3() {
-            let has_path = engine.edit_path_as(m, pair, Some(4)).is_ok();
+            let query = GedQuery::Path { pair, k: Some(4) };
+            let has_path = engine.query_as(m, query).is_ok();
             assert_eq!(has_path, MethodKind::table4().contains(&m), "{m:?}");
         }
     }

@@ -47,7 +47,7 @@ use crate::protocol::{
     WireJoinPair, WireJoinUndecided, WireNeighbor, WireUndecided, MAX_LINE_BYTES,
 };
 use ged_baselines::solvers::ClassicSolver;
-use ged_core::engine::{Deadline, GedEngine};
+use ged_core::engine::{Deadline, GedEngine, GedQuery, GedResponse, QueryOptions};
 use ged_core::method::MethodKind;
 use ged_core::pairs::GedPair;
 use ged_core::plan::QueryShape;
@@ -174,6 +174,20 @@ fn engine_error(e: &GedError) -> (ErrorCode, String) {
         GedError::DeadlineExceeded => ErrorCode::DeadlineExceeded,
     };
     (code, e.to_string())
+}
+
+/// Answers one request's query through [`GedEngine::run`] with the
+/// engine's default method, under the request's deadline.
+fn run(
+    engine: &GedEngine,
+    query: GedQuery<'_>,
+    deadline: Deadline,
+) -> Result<GedResponse, (ErrorCode, String)> {
+    let options = QueryOptions {
+        method: None,
+        deadline,
+    };
+    engine.run(query, options).map_err(|e| engine_error(&e))
 }
 
 /// The outcome of a store/engine op: the server's mutation counter
@@ -532,15 +546,13 @@ impl Server {
         self.with_read(|state, engine| {
             let a = resolve(state, g1)?;
             let b = resolve(state, g2)?;
-            let path = match k {
-                None => engine.edit_path(a, b),
-                Some(k) => engine.edit_path_as(
-                    engine.method(),
-                    &GedPair::directed(a.clone(), b.clone()),
-                    Some(usize::try_from(k).unwrap_or(usize::MAX)),
-                ),
-            }
-            .map_err(|e| engine_error(&e))?;
+            // Edit paths are direction-sensitive: keep the caller's
+            // orientation; `k = None` uses the engine's beam width.
+            let pair = GedPair::directed(a.clone(), b.clone());
+            let k = k.map(|k| usize::try_from(k).unwrap_or(usize::MAX));
+            let path = run(engine, GedQuery::Path { pair: &pair, k }, Deadline::NONE)?
+                .into_path()
+                .expect("a Path query answers Path");
             Ok(ResponseBody::Path {
                 ged: path.ged as u64,
                 mapping: path.mapping.as_slice().to_vec(),
@@ -551,11 +563,14 @@ impl Server {
 
     fn top_k(&self, query: &GraphRef, k: u64, deadline: Deadline) -> OpResult {
         self.with_read(|state, engine| {
-            let q = resolve(state, query)?;
-            let result = engine
-                .with_deadline(deadline)
-                .top_k_sharded(q, &state.store, usize::try_from(k).unwrap_or(usize::MAX))
-                .map_err(|e| engine_error(&e))?;
+            let query = GedQuery::TopK {
+                query: resolve(state, query)?,
+                store: (&state.store).into(),
+                k: usize::try_from(k).unwrap_or(usize::MAX),
+            };
+            let result = run(engine, query, deadline)?
+                .into_top_k()
+                .expect("a TopK query answers TopK");
             Ok(ResponseBody::Neighbors {
                 neighbors: named_neighbors(state, result.neighbors.iter().map(|n| (n.id, n.ged))),
             })
@@ -564,12 +579,13 @@ impl Server {
 
     fn range(&self, query: &GraphRef, tau: f64, exact: bool, deadline: Deadline) -> OpResult {
         self.with_read(|state, engine| {
-            let q = resolve(state, query)?;
+            let query = resolve(state, query)?;
+            let store = (&state.store).into();
             if exact {
-                let result = engine
-                    .with_deadline(deadline)
-                    .range_exact_sharded(q, &state.store, tau)
-                    .map_err(|e| engine_error(&e))?;
+                let query = GedQuery::RangeExact { query, store, tau };
+                let result = run(engine, query, deadline)?
+                    .into_range_exact()
+                    .expect("a RangeExact query answers RangeExact");
                 Ok(ResponseBody::ExactMatches {
                     matches: result
                         .matches
@@ -589,10 +605,10 @@ impl Server {
                         .collect(),
                 })
             } else {
-                let result = engine
-                    .with_deadline(deadline)
-                    .range_sharded(q, &state.store, tau)
-                    .map_err(|e| engine_error(&e))?;
+                let query = GedQuery::Range { query, store, tau };
+                let result = run(engine, query, deadline)?
+                    .into_range()
+                    .expect("a Range query answers Range");
                 Ok(ResponseBody::Neighbors {
                     neighbors: named_neighbors(
                         state,
@@ -605,10 +621,12 @@ impl Server {
 
     fn matrix(&self, deadline: Deadline) -> OpResult {
         self.with_read(|state, engine| {
-            let m = engine
-                .with_deadline(deadline)
-                .distance_matrix_sharded(&state.store)
-                .map_err(|e| engine_error(&e))?;
+            let query = GedQuery::Matrix {
+                store: (&state.store).into(),
+            };
+            let m = run(engine, query, deadline)?
+                .into_matrix()
+                .expect("a Matrix query answers Matrix");
             let names: Vec<String> = m.ids().iter().map(|id| state.ids[id].clone()).collect();
             let rows: Vec<Vec<f64>> = (0..m.size()).map(|i| m.row(i).to_vec()).collect();
             Ok(ResponseBody::Matrix { names, rows })
@@ -617,10 +635,13 @@ impl Server {
 
     fn self_join(&self, tau: f64, deadline: Deadline) -> OpResult {
         self.with_read(|state, engine| {
-            let result = engine
-                .with_deadline(deadline)
-                .self_join_sharded(&state.store, tau)
-                .map_err(|e| engine_error(&e))?;
+            let query = GedQuery::SelfJoin {
+                store: (&state.store).into(),
+                tau,
+            };
+            let result = run(engine, query, deadline)?
+                .into_self_join()
+                .expect("a SelfJoin query answers SelfJoin");
             Ok(ResponseBody::SelfJoin {
                 pairs: result
                     .pairs
@@ -666,10 +687,14 @@ impl Server {
                 .enumerate()
                 .map(|(i, id)| (id, i))
                 .collect();
-            let result = engine
-                .with_deadline(deadline)
-                .join_sharded(&left, &state.store, tau)
-                .map_err(|e| engine_error(&e))?;
+            let query = GedQuery::Join {
+                store: &left,
+                other: (&state.store).into(),
+                tau,
+            };
+            let result = run(engine, query, deadline)?
+                .into_join()
+                .expect("a Join query answers Join");
             Ok(ResponseBody::Join {
                 pairs: result
                     .pairs

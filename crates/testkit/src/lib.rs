@@ -27,17 +27,16 @@
 //! `max(prediction, lb)` refinement) and the pivot plan (`Some` — the
 //! two-sided `min(max(prediction, lb), ub)` refinement).
 //!
-//! Every oracle has a `_sharded` twin over [`ged_graph::ShardedStore`]
-//! (taking [`ged_core::engine::GedEngine::sharded_pivot_bounds`] for the
-//! pivot plans), and [`sharded_copy`] builds a sharded replica of a flat
-//! store together with the id translation the comparisons need.
+//! The store oracles take either store kind (anything that converts into
+//! a [`StoreRef`]), and [`sharded_copy`] builds a sharded replica of a
+//! flat store together with the id translation the comparisons need.
 
 #![warn(missing_docs)]
 
 pub mod served;
 
 use ged_baselines::solvers::ClassicSolver;
-use ged_core::engine::{ExactNeighbor, GedEngine, GedEngineBuilder, JoinPair, Neighbor};
+use ged_core::engine::{ExactNeighbor, GedEngine, GedEngineBuilder, JoinPair, Neighbor, StoreRef};
 use ged_core::lower_bound::{degree_sequence_lower_bound, label_set_lower_bound};
 use ged_core::method::MethodKind;
 use ged_core::pairs::GedPair;
@@ -231,16 +230,19 @@ pub fn gedgw_classic_engine() -> GedEngine {
 /// each prediction into the admissible bound interval the engine applies
 /// — `max(prediction, lb)` against the signature lower bounds, further
 /// clamped into the pivot `[lb, ub]` interval when `pivot` carries one —
-/// and sort by `(ged, id)`.
+/// and sort by `(ged, id)`. Either store kind; the sharded plans must
+/// reproduce this bit for bit too.
 #[must_use]
-pub fn brute_force_refined(
-    store: &GraphStore,
+pub fn brute_force_refined<'s>(
+    store: impl Into<StoreRef<'s>>,
     query: &Graph,
     solver: &dyn GedSolver,
     pivot: Option<&PivotBounds>,
 ) -> Vec<Neighbor> {
     let mut all: Vec<Neighbor> = store
-        .iter()
+        .into()
+        .graphs()
+        .into_iter()
         .map(|(id, g)| {
             let pair = GedPair::new(query.clone(), g.clone());
             let mut lb = label_set_lower_bound(query, g).max(degree_sequence_lower_bound(query, g));
@@ -262,8 +264,8 @@ pub fn brute_force_refined(
 /// [`brute_force_refined`] truncated to the `k` nearest neighbors —
 /// exactly what `GedQuery::TopK` promises (`k` beyond the store clamps).
 #[must_use]
-pub fn brute_top_k(
-    store: &GraphStore,
+pub fn brute_top_k<'s>(
+    store: impl Into<StoreRef<'s>>,
     query: &Graph,
     solver: &dyn GedSolver,
     k: usize,
@@ -277,8 +279,8 @@ pub fn brute_top_k(
 /// [`brute_force_refined`] thresholded at `tau` — exactly what
 /// `GedQuery::Range` promises.
 #[must_use]
-pub fn brute_range(
-    store: &GraphStore,
+pub fn brute_range<'s>(
+    store: impl Into<StoreRef<'s>>,
     query: &Graph,
     solver: &dyn GedSolver,
     tau: f64,
@@ -291,13 +293,19 @@ pub fn brute_range(
 }
 
 /// The brute-force reference for exact range search: the τ-bounded exact
-/// search run against every stored graph, in ascending id order —
-/// exactly what `GedQuery::RangeExact` promises (for any pivot
-/// configuration and any thread count).
+/// search run against every stored graph, in (globally) ascending id
+/// order — exactly what `GedQuery::RangeExact` promises (for either
+/// store kind, any bucket width, pivot configuration and thread count).
 #[must_use]
-pub fn brute_range_exact(store: &GraphStore, query: &Graph, tau: usize) -> Vec<ExactNeighbor> {
+pub fn brute_range_exact<'s>(
+    store: impl Into<StoreRef<'s>>,
+    query: &Graph,
+    tau: usize,
+) -> Vec<ExactNeighbor> {
     store
-        .iter()
+        .into()
+        .graphs()
+        .into_iter()
         .filter_map(|(id, g)| bounded_exact_ged(query, g, tau).map(|ged| ExactNeighbor { id, ged }))
         .collect()
 }
@@ -355,84 +363,6 @@ pub fn sharded_copy(
         .map(|(flat_id, g)| (flat_id, sharded.insert(g.clone())))
         .collect();
     (sharded, map)
-}
-
-/// [`brute_force_refined`] over a [`ShardedStore`]: identical refinement
-/// (clamp into signature bounds, then into the per-id pivot interval when
-/// `pivot` carries one — pass
-/// [`ged_core::engine::GedEngine::sharded_pivot_bounds`]), identical
-/// `(ged, id)` order. The sharded plans must reproduce this bit for bit.
-#[must_use]
-pub fn brute_force_refined_sharded(
-    store: &ShardedStore,
-    query: &Graph,
-    solver: &dyn GedSolver,
-    pivot: Option<&PivotBounds>,
-) -> Vec<Neighbor> {
-    let mut all: Vec<Neighbor> = store
-        .iter()
-        .map(|(id, g)| {
-            let pair = GedPair::new(query.clone(), g.clone());
-            let mut lb = label_set_lower_bound(query, g).max(degree_sequence_lower_bound(query, g));
-            let mut ub = usize::MAX;
-            if let Some((plb, pub_)) = pivot.and_then(|m| m.get(&id).copied()) {
-                lb = lb.max(plb);
-                ub = pub_;
-            }
-            Neighbor {
-                id,
-                ged: solver.predict(&pair).ged.max(lb as f64).min(ub as f64),
-            }
-        })
-        .collect();
-    all.sort_by(|a, b| a.ged.total_cmp(&b.ged).then(a.id.cmp(&b.id)));
-    all
-}
-
-/// [`brute_force_refined_sharded`] truncated to the `k` nearest —
-/// the `top_k_sharded` ground truth.
-#[must_use]
-pub fn brute_top_k_sharded(
-    store: &ShardedStore,
-    query: &Graph,
-    solver: &dyn GedSolver,
-    k: usize,
-    pivot: Option<&PivotBounds>,
-) -> Vec<Neighbor> {
-    let mut all = brute_force_refined_sharded(store, query, solver, pivot);
-    all.truncate(k);
-    all
-}
-
-/// [`brute_force_refined_sharded`] thresholded at `tau` — the
-/// `range_sharded` ground truth.
-#[must_use]
-pub fn brute_range_sharded(
-    store: &ShardedStore,
-    query: &Graph,
-    solver: &dyn GedSolver,
-    tau: f64,
-    pivot: Option<&PivotBounds>,
-) -> Vec<Neighbor> {
-    brute_force_refined_sharded(store, query, solver, pivot)
-        .into_iter()
-        .filter(|n| n.ged <= tau)
-        .collect()
-}
-
-/// The τ-bounded exact scan over a [`ShardedStore`] in globally
-/// ascending id order — the `range_exact_sharded` ground truth (for any
-/// bucket width, pivot configuration, and thread count).
-#[must_use]
-pub fn brute_range_exact_sharded(
-    store: &ShardedStore,
-    query: &Graph,
-    tau: usize,
-) -> Vec<ExactNeighbor> {
-    store
-        .iter()
-        .filter_map(|(id, g)| bounded_exact_ged(query, g, tau).map(|ged| ExactNeighbor { id, ged }))
-        .collect()
 }
 
 /// Asserts two neighbor lists are bit-identical (ids, order, and the
@@ -560,7 +490,7 @@ mod tests {
         }
         // The sharded oracle is the flat oracle under id translation.
         let flat = brute_force_refined(&ds, &query, &GedgwSolver, None);
-        let shard = brute_force_refined_sharded(&sharded, &query, &GedgwSolver, None);
+        let shard = brute_force_refined(&sharded, &query, &GedgwSolver, None);
         let translated: Vec<Neighbor> = flat
             .iter()
             .map(|n| Neighbor {
@@ -572,7 +502,7 @@ mod tests {
         // insertion-ordered), so the (ged, id) sort is unchanged.
         assert_same_neighbors(&shard, &translated, "sharded oracle");
         let exact_flat = brute_range_exact(&ds, &query, 6);
-        let exact_shard = brute_range_exact_sharded(&sharded, &query, 6);
+        let exact_shard = brute_range_exact(&sharded, &query, 6);
         assert_eq!(exact_flat.len(), exact_shard.len());
         for (f, s) in exact_flat.iter().zip(&exact_shard) {
             assert_eq!(map[&f.id], s.id);

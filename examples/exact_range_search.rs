@@ -47,7 +47,7 @@ fn main() {
         let result = engine
             .query(GedQuery::RangeExact {
                 query: &query,
-                store: &store,
+                store: (&store).into(),
                 tau,
             })
             .expect("valid query")

@@ -111,14 +111,13 @@ fn main() {
     );
 
     // Stored graphs can be queried by id, no clone of the graph needed.
-    let by_id = adaptive_e
-        .range_by_id(&store, pivot_id, 6.0)
-        .expect("stored id");
+    let stored = StoreRef::from(&store).get(pivot_id).expect("stored id");
+    let by_id = adaptive_e.range(stored, &store, 6.0).expect("valid query");
     assert_eq!(
         by_id.neighbors, a.neighbors,
         "by-id resolves to the same query"
     );
-    println!("range_by_id({pivot_id:?}): same answer as the inline query ✓\n");
+    println!("range over StoreRef::get({pivot_id:?}): same answer as the inline query ✓\n");
 
     println!("plans after the workload (discards reordered by observed yield):");
     for shape in [QueryShape::TopK, QueryShape::Range, QueryShape::RangeExact] {

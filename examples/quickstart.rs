@@ -61,15 +61,28 @@ fn main() {
     assert!(ot_ged::graph::isomorphism::are_isomorphic(&applied, &g2));
     println!("\nPath verified: applying it to G1 yields a graph isomorphic to G2.");
 
-    // 4. Method selection: the classical baseline through the same engine.
+    // 4. Method selection: the classical baseline through the same engine,
+    //    as one `run` with a method override.
+    let pair = ot_ged::core::pairs::GedPair::new(g1.clone(), g2.clone());
+    let value = GedQuery::Value { pair: &pair };
+    let classic_opts = QueryOptions {
+        method: Some(MethodKind::Classic),
+        deadline: Deadline::NONE,
+    };
     let classic = engine
-        .ged_as(MethodKind::Classic, &g1, &g2)
-        .expect("Classic is registered");
+        .run(value, classic_opts)
+        .expect("Classic is registered")
+        .into_value()
+        .expect("a Value query answers Value");
     println!("\nClassic (Hungarian/VJ): {classic}");
 
     // 5. Errors are typed, not panics: an unregistered method and an
     //    empty input graph both come back as `GedError`.
-    let err = engine.ged_as(MethodKind::Gediot, &g1, &g2).unwrap_err();
+    let gediot_opts = QueryOptions {
+        method: Some(MethodKind::Gediot),
+        ..classic_opts
+    };
+    let err = engine.run(value, gediot_opts).unwrap_err();
     println!("\nquerying an unregistered method: {err}");
     let err = engine.ged(&Graph::new(), &g2).unwrap_err();
     println!("querying an empty graph:        {err}");

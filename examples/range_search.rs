@@ -46,7 +46,7 @@ fn main() {
         let result = engine
             .query(GedQuery::Range {
                 query: &query,
-                store: &store,
+                store: (&store).into(),
                 tau,
             })
             .expect("valid query")
@@ -76,7 +76,7 @@ fn main() {
     );
 
     // Misuse is a typed error, never a panic.
-    let err = engine.top_k_by_id(&store, best.id, 3).unwrap_err();
+    let err = StoreRef::from(&store).get(best.id).unwrap_err();
     println!("querying by the removed id: {err}");
     let err = engine.range(&query, &GraphStore::new(), 5.0).unwrap_err();
     println!("range over an empty store:  {err}");

@@ -51,7 +51,7 @@ fn main() {
     let response = engine
         .query(GedQuery::TopK {
             query: &query,
-            store: &database,
+            store: (&database).into(),
             k: 10,
         })
         .expect("valid query");

@@ -42,7 +42,7 @@ fn top_k_matches_brute_force_ranking_on_50_graph_store() {
         let response = engine
             .query(GedQuery::TopK {
                 query: &query,
-                store: &dataset,
+                store: (&dataset).into(),
                 k,
             })
             .expect("valid top-k query");
@@ -80,7 +80,9 @@ fn distance_matrix_agrees_with_per_pair_evaluation() {
     let dataset = GraphDataset::linux_like(8, &mut rng);
     let engine = engine();
     let m = engine
-        .query(GedQuery::Matrix { store: &dataset })
+        .query(GedQuery::Matrix {
+            store: (&dataset).into(),
+        })
         .unwrap()
         .into_matrix()
         .unwrap();
@@ -132,7 +134,7 @@ fn empty_graph_queries_error_instead_of_panicking() {
     let err = engine
         .query(GedQuery::TopK {
             query: &empty,
-            store: &ds,
+            store: (&ds).into(),
             k: 2,
         })
         .unwrap_err();
@@ -159,7 +161,7 @@ fn zero_k_and_empty_stores_are_typed_errors() {
     let err = engine
         .query(GedQuery::TopK {
             query: &query,
-            store: &ds,
+            store: (&ds).into(),
             k: 0,
         })
         .unwrap_err();
@@ -177,7 +179,7 @@ fn zero_k_and_empty_stores_are_typed_errors() {
     let err = engine
         .query(GedQuery::TopK {
             query: &query,
-            store: &empty,
+            store: (&empty).into(),
             k: 3,
         })
         .unwrap_err();
@@ -185,13 +187,15 @@ fn zero_k_and_empty_stores_are_typed_errors() {
     let err = engine
         .query(GedQuery::Range {
             query: &query,
-            store: &empty,
+            store: (&empty).into(),
             tau: 3.0,
         })
         .unwrap_err();
     assert_eq!(err, GedError::EmptyStore);
     let err = engine
-        .query(GedQuery::Matrix { store: &empty })
+        .query(GedQuery::Matrix {
+            store: (&empty).into(),
+        })
         .unwrap_err();
     assert_eq!(err, GedError::EmptyStore);
 }
@@ -207,22 +211,19 @@ fn foreign_and_removed_ids_are_typed_errors() {
     // Foreign id: minted by a different store.
     let foreign = other.ids()[0];
     assert_eq!(
-        engine.top_k_by_id(&ds, foreign, 2).unwrap_err(),
-        GedError::UnknownGraphId(foreign)
-    );
-    assert_eq!(
-        engine.ged_by_ids(&ds, ids[0], foreign).unwrap_err(),
+        StoreRef::from(&ds).get(foreign).unwrap_err(),
         GedError::UnknownGraphId(foreign)
     );
 
     // Removed id: was valid, is not anymore.
     ds.remove(ids[1]);
     assert_eq!(
-        engine.top_k_by_id(&ds, ids[1], 2).unwrap_err(),
+        StoreRef::from(&ds).get(ids[1]).unwrap_err(),
         GedError::UnknownGraphId(ids[1])
     );
     // And the removed graph no longer appears in results.
-    let result = engine.top_k_by_id(&ds, ids[0], 10).unwrap();
+    let query = StoreRef::from(&ds).get(ids[0]).unwrap();
+    let result = engine.top_k(query, &ds, 10).unwrap();
     assert!(result.neighbors.iter().all(|n| n.id != ids[1]));
     assert_eq!(result.neighbors.len(), ds.len());
 }
@@ -233,7 +234,7 @@ fn top_k_larger_than_store_returns_all_graphs_ranked() {
     let mut rng = SmallRng::seed_from_u64(6);
     let ds = GraphDataset::aids_like(7, &mut rng);
     let first = ds.ids()[0];
-    let result = engine.top_k_by_id(&ds, first, 1000).expect("clamped");
+    let result = engine.top_k(&ds[first], &ds, 1000).expect("clamped");
     assert_eq!(
         result.neighbors.len(),
         ds.len(),
@@ -313,6 +314,58 @@ fn value_batches_match_single_queries_bit_for_bit() {
                     .expect("Value");
                 assert_eq!(got.ged.to_bits(), want.ged.to_bits(), "{ctx}");
             }
+        }
+    }
+}
+
+/// One `query_batch_as` batch mixing pair queries with store queries
+/// over a flat store and a sharded copy of it answers each query exactly
+/// like running it alone, at every thread count.
+#[test]
+fn mixed_store_batches_match_single_queries() {
+    let mut rng = SmallRng::seed_from_u64(9);
+    let flat = GraphDataset::aids_like(14, &mut rng).into_store();
+    let (sharded, _) = ged_testkit::sharded_copy(&flat, 4);
+    let query = flat.graphs().next().unwrap().clone();
+    let gs: Vec<&Graph> = flat.graphs().collect();
+    let pair = GedPair::new(gs[1].clone(), gs[2].clone());
+    let mut queries = vec![GedQuery::Value { pair: &pair }];
+    for store in [StoreRef::from(&flat), StoreRef::from(&sharded)] {
+        let query = &query;
+        queries.extend([
+            GedQuery::TopK { query, store, k: 4 },
+            GedQuery::Range {
+                query,
+                store,
+                tau: 5.0,
+            },
+            GedQuery::RangeExact {
+                query,
+                store,
+                tau: 3.0,
+            },
+            GedQuery::Matrix { store },
+            GedQuery::SelfJoin { store, tau: 2.0 },
+            GedQuery::Join {
+                store: &flat,
+                other: store,
+                tau: 2.0,
+            },
+        ]);
+    }
+    for threads in [1, 3] {
+        let engine = ged_testkit::gedgw_engine(threads);
+        let batch = engine.query_batch_as(MethodKind::Gedgw, &queries);
+        assert_eq!(batch.len(), queries.len());
+        for (i, (got, q)) in batch.into_iter().zip(&queries).enumerate() {
+            let want = engine.query_as(MethodKind::Gedgw, *q).expect("valid query");
+            // `Debug` prints every f64 in its shortest round-trip form,
+            // so equal renderings mean bit-identical answers.
+            assert_eq!(
+                format!("{:?}", got.expect("valid query")),
+                format!("{want:?}"),
+                "query {i} at {threads} threads"
+            );
         }
     }
 }

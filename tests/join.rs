@@ -24,8 +24,10 @@
 //!   the remainder surfaces in `budget_exhausted`;
 //! * shared-work regression: the tiered join verifies strictly fewer
 //!   pairs than the `n·(n−1)/2` / `n·m` nested loop would;
-//! * a zero-duration [`Deadline`] aborts the join mid-execution with
-//!   [`GedError::DeadlineExceeded`].
+//! * a zero-duration [`Deadline`] aborts every store query kind (joins
+//!   included) over either store kind with [`GedError::DeadlineExceeded`],
+//!   and `Deadline::NONE` through [`GedEngine::run`] answers exactly like
+//!   the typed conveniences.
 
 use ged_testkit::{
     aids_store, brute_join, brute_self_join, engine_builder, property_stores, sharded_copy,
@@ -376,28 +378,100 @@ fn stats_close_and_matches_stay_sound_under_a_strangled_budget() {
     }
 }
 
+/// Every store query kind × both [`StoreRef`] kinds, through
+/// [`GedEngine::run`]: an already-expired [`Deadline`] aborts with
+/// [`GedError::DeadlineExceeded`] before the answer, and
+/// [`Deadline::NONE`] answers bit-identically to the typed convenience.
+/// (`Debug` prints every `f64` in its shortest round-trip form, so equal
+/// renderings mean equal bits.)
 #[test]
 fn a_zero_deadline_aborts_the_join_mid_execution() {
-    let store = aids_store(40, 9081).into_store();
+    let flat = aids_store(40, 9081).into_store();
+    let probes = aids_store(10, 9082).into_store();
+    let (sharded, _) = sharded_copy(&flat, 4);
     let e = engine(2, 0, false);
-    // Sanity: the same join succeeds without a deadline.
-    assert!(e.self_join(&store, 2.0).is_ok());
-    let bound = e.with_deadline(Deadline::within(Duration::ZERO));
-    assert!(
-        matches!(
-            bound.self_join(&store, 2.0),
-            Err(GedError::DeadlineExceeded)
-        ),
-        "an already-expired deadline must abort before the answer"
-    );
-    let other = aids_store(10, 9082).into_store();
-    assert!(matches!(
-        bound.join(&store, &other, 2.0),
-        Err(GedError::DeadlineExceeded)
-    ));
-    // `Deadline::NONE` through the same bound API never expires.
-    assert!(e
-        .with_deadline(Deadline::NONE)
-        .self_join(&store, 1.0)
-        .is_ok());
+    let expired = QueryOptions {
+        method: None,
+        deadline: Deadline::within(Duration::ZERO),
+    };
+    let unbounded = QueryOptions {
+        method: None,
+        deadline: Deadline::NONE,
+    };
+    for (store, store_kind) in [
+        (StoreRef::from(&flat), "flat"),
+        (StoreRef::from(&sharded), "sharded"),
+    ] {
+        // A member query: range plans only check the deadline between
+        // verification blocks, and the member always reaches one.
+        let query = store.graphs()[0].1;
+        let typed = |kind: &str| -> Result<GedResponse, GedError> {
+            Ok(match (kind, store) {
+                ("top_k", StoreRef::Flat(s)) => GedResponse::TopK(e.top_k(query, s, 5)?),
+                ("top_k", StoreRef::Sharded(s)) => GedResponse::TopK(e.top_k_sharded(query, s, 5)?),
+                ("range", StoreRef::Flat(s)) => GedResponse::Range(e.range(query, s, 4.0)?),
+                ("range", StoreRef::Sharded(s)) => {
+                    GedResponse::Range(e.range_sharded(query, s, 4.0)?)
+                }
+                ("range_exact", StoreRef::Flat(s)) => {
+                    GedResponse::RangeExact(e.range_exact(query, s, 2.0)?)
+                }
+                ("range_exact", StoreRef::Sharded(s)) => {
+                    GedResponse::RangeExact(e.range_exact_sharded(query, s, 2.0)?)
+                }
+                ("matrix", StoreRef::Flat(s)) => GedResponse::Matrix(e.distance_matrix(s)?),
+                ("matrix", StoreRef::Sharded(s)) => {
+                    GedResponse::Matrix(e.distance_matrix_sharded(s)?)
+                }
+                ("self_join", StoreRef::Flat(s)) => GedResponse::SelfJoin(e.self_join(s, 2.0)?),
+                ("self_join", StoreRef::Sharded(s)) => {
+                    GedResponse::SelfJoin(e.self_join_sharded(s, 2.0)?)
+                }
+                ("join", StoreRef::Flat(s)) => GedResponse::Join(e.join(&probes, s, 2.0)?),
+                ("join", StoreRef::Sharded(s)) => {
+                    GedResponse::Join(e.join_sharded(&probes, s, 2.0)?)
+                }
+                _ => unreachable!("every kind is listed"),
+            })
+        };
+        let table = [
+            ("top_k", GedQuery::TopK { query, store, k: 5 }),
+            (
+                "range",
+                GedQuery::Range {
+                    query,
+                    store,
+                    tau: 4.0,
+                },
+            ),
+            (
+                "range_exact",
+                GedQuery::RangeExact {
+                    query,
+                    store,
+                    tau: 2.0,
+                },
+            ),
+            ("matrix", GedQuery::Matrix { store }),
+            ("self_join", GedQuery::SelfJoin { store, tau: 2.0 }),
+            (
+                "join",
+                GedQuery::Join {
+                    store: &probes,
+                    other: store,
+                    tau: 2.0,
+                },
+            ),
+        ];
+        for (kind, q) in table {
+            let ctx = format!("{kind} over the {store_kind} store");
+            assert!(
+                matches!(e.run(q, expired), Err(GedError::DeadlineExceeded)),
+                "{ctx}: an already-expired deadline must abort before the answer"
+            );
+            let got = e.run(q, unbounded).expect("valid query");
+            let want = typed(kind).expect("valid query");
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{ctx}");
+        }
+    }
 }

@@ -83,9 +83,16 @@ fn top_k_and_range_with_pivots_equal_brute_force_across_methods() {
 
             for k in [1usize, 5, store.len()] {
                 let ctx = format!("{tag}/{method}/k={k}");
+                let q = GedQuery::TopK {
+                    query: &query,
+                    store: (&store).into(),
+                    k,
+                };
                 let result = engine
-                    .top_k_as(method, &query, &store, k)
-                    .expect("valid query");
+                    .query_as(method, q)
+                    .expect("valid query")
+                    .into_top_k()
+                    .expect("TopK answers TopK");
                 let want = brute_top_k(&store, &query, solver.as_ref(), k, Some(&bounds));
                 assert_same(&result.neighbors, &want, &ctx);
                 assert_eq!(
@@ -99,9 +106,16 @@ fn top_k_and_range_with_pivots_equal_brute_force_across_methods() {
             let taus = [brute[2].ged, brute[brute.len() / 4].ged];
             for tau in taus {
                 let ctx = format!("{tag}/{method}/tau={tau:.3}");
+                let q = GedQuery::Range {
+                    query: &query,
+                    store: (&store).into(),
+                    tau,
+                };
                 let result = engine
-                    .range_as(method, &query, &store, tau)
-                    .expect("valid query");
+                    .query_as(method, q)
+                    .expect("valid query")
+                    .into_range()
+                    .expect("Range answers Range");
                 let want = brute_range(&store, &query, solver.as_ref(), tau, Some(&bounds));
                 assert_same(&result.neighbors, &want, &ctx);
                 assert!(!result.neighbors.is_empty(), "{ctx}: τ chosen non-trivial");

@@ -466,7 +466,8 @@ fn range_by_id_resolves_stored_ids_and_rejects_foreign_ones() {
         .expect("valid configuration");
 
     let (id, query) = store.iter().next().expect("nonempty store");
-    let by_id = engine.range_by_id(&store, id, 5.0).expect("stored id");
+    let stored = StoreRef::from(&store).get(id).expect("stored id");
+    let by_id = engine.range(stored, &store, 5.0).expect("valid query");
     let direct = engine.range(query, &store, 5.0).expect("direct query");
     assert_same(&by_id.neighbors, &direct.neighbors, "flat by-id");
     assert!(
@@ -475,9 +476,10 @@ fn range_by_id_resolves_stored_ids_and_rejects_foreign_ones() {
     );
 
     let sid = map[&id];
+    let stored = StoreRef::from(&sharded).get(sid).expect("stored id");
     let by_id = engine
-        .range_sharded_by_id(&sharded, sid, 5.0)
-        .expect("stored id");
+        .range_sharded(stored, &sharded, 5.0)
+        .expect("valid query");
     let direct = engine
         .range_sharded(query, &sharded, 5.0)
         .expect("direct query");
@@ -487,13 +489,11 @@ fn range_by_id_resolves_stored_ids_and_rejects_foreign_ones() {
     let mut scratch = GraphStore::new();
     let foreign_id = scratch.insert(foreign);
     assert_eq!(
-        engine.range_by_id(&store, foreign_id, 5.0).unwrap_err(),
+        StoreRef::from(&store).get(foreign_id).unwrap_err(),
         GedError::UnknownGraphId(foreign_id)
     );
     assert_eq!(
-        engine
-            .range_sharded_by_id(&sharded, foreign_id, 5.0)
-            .unwrap_err(),
+        StoreRef::from(&sharded).get(foreign_id).unwrap_err(),
         GedError::UnknownGraphId(foreign_id)
     );
 }

@@ -16,9 +16,8 @@
 //!   follow-up pivot sync is a no-op), and every answer bit.
 
 use ged_testkit::{
-    aids_store, assert_same_neighbors as assert_same, brute_range_exact_sharded,
-    brute_range_sharded, brute_top_k_sharded, engine_builder, external_query, linux_store, rng,
-    sharded_copy,
+    aids_store, assert_same_neighbors as assert_same, brute_range, brute_range_exact, brute_top_k,
+    engine_builder, external_query, linux_store, rng, sharded_copy,
 };
 use ot_ged::prelude::*;
 use std::collections::BTreeMap;
@@ -143,7 +142,7 @@ fn sharded_range_exact_with_pivots_equals_flat_exact_scan() {
     assert_eq!(shrd.stats.total(), sharded.len(), "accounting closes");
 
     // And against the brute-force sharded oracle directly.
-    let brute = brute_range_exact_sharded(&sharded, &query, 7);
+    let brute = brute_range_exact(&sharded, &query, 7);
     assert_same_exact(&shrd.matches, &brute, "vs sharded oracle");
 }
 
@@ -156,18 +155,16 @@ fn pivoted_sharded_plans_equal_the_sharded_oracle() {
     for threads in [1, 3] {
         let e = engine(threads, 3);
         e.sync_sharded_pivots(&mut sharded);
-        let bounds = e
-            .sharded_pivot_bounds(&query, &sharded)
-            .expect("pivots are synced");
+        let bounds = e.pivot_bounds(&query, &sharded).expect("pivots are synced");
         assert_eq!(bounds.len(), sharded.len(), "one bound per graph");
 
         let topk = e.top_k_sharded(&query, &sharded, 6).expect("top-k");
-        let want = brute_top_k_sharded(&sharded, &query, &solver, 6, Some(&bounds));
+        let want = brute_top_k(&sharded, &query, &solver, 6, Some(&bounds));
         assert_same(&topk.neighbors, &want, &format!("threads={threads}/top-k"));
 
         let tau = want.last().expect("6 results").ged;
         let range = e.range_sharded(&query, &sharded, tau).expect("range");
-        let want_r = brute_range_sharded(&sharded, &query, &solver, tau, Some(&bounds));
+        let want_r = brute_range(&sharded, &query, &solver, tau, Some(&bounds));
         assert_same(
             &range.neighbors,
             &want_r,

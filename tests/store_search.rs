@@ -36,9 +36,16 @@ fn top_k_equals_brute_force_across_methods_and_stores() {
             let mut pruned_somewhere = false;
             for k in [1usize, 5, 13, ds.len()] {
                 let ctx = format!("{}/{}/k={}", ds.kind.name(), method, k);
+                let q = GedQuery::TopK {
+                    query: &query,
+                    store: (&ds).into(),
+                    k,
+                };
                 let result = engine
-                    .top_k_as(method, &query, &ds, k)
-                    .expect("valid query");
+                    .query_as(method, q)
+                    .expect("valid query")
+                    .into_top_k()
+                    .expect("TopK answers TopK");
                 assert_same(&result.neighbors, &brute[..k.min(brute.len())], &ctx);
                 assert_eq!(result.stats.candidates, ds.len(), "{ctx}");
                 assert_eq!(
@@ -81,9 +88,16 @@ fn range_equals_brute_force_across_methods_and_stores() {
             let mut pruned_somewhere = false;
             for tau in taus {
                 let ctx = format!("{}/{}/tau={:.3}", ds.kind.name(), method, tau);
+                let q = GedQuery::Range {
+                    query: &query,
+                    store: (&ds).into(),
+                    tau,
+                };
                 let result = engine
-                    .range_as(method, &query, &ds, tau)
-                    .expect("valid query");
+                    .query_as(method, q)
+                    .expect("valid query")
+                    .into_range()
+                    .expect("Range answers Range");
                 let want: Vec<Neighbor> = brute.iter().copied().filter(|n| n.ged <= tau).collect();
                 assert_same(&result.neighbors, &want, &ctx);
                 assert!(!result.neighbors.is_empty(), "{ctx}: τ chosen non-trivial");
@@ -155,7 +169,7 @@ fn range_exact_equals_brute_force_with_every_tier_firing() {
             let result = engine
                 .query(GedQuery::RangeExact {
                     query: &query,
-                    store: &ds,
+                    store: (&ds).into(),
                     tau: tau as f64,
                 })
                 .expect("valid query")
